@@ -5,18 +5,28 @@ plane sets bit i when trit i is +1, the negative plane when it is -1. Under
 the induced binary encoding (+1 -> "10", 0 -> "00", -1 -> "01") the Hamming
 distance between two codes is popcount(pos XOR pos') + popcount(neg XOR neg'),
 so disagreeing nonzero trits cost 2 and zero/nonzero disagreements cost 1.
+
+A set of codes is one CodeMatrix: both planes as [n, words] uint64 arrays.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import read_exact
+
 _TRIT_BITS = {1: "10", 0: "00", -1: "01"}
 
 _CODES_MAGIC = b"TNC1"
+
+
+def _is_trits(arr: np.ndarray) -> bool:
+    return bool(((arr == 0) | (arr == 1) | (arr == -1)).all())
 
 
 @dataclass(frozen=True)
@@ -29,7 +39,7 @@ class TernaryCode:
         arr = np.asarray(self.trits)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trits must be a non-empty 1-d array")
-        if not np.all(np.isin(arr, (-1, 0, 1))):
+        if not _is_trits(arr):
             raise ValueError("trits must take values in {-1, 0, +1}")
         object.__setattr__(self, "trits", arr.astype(np.int8))
 
@@ -40,6 +50,23 @@ class TernaryCode:
 
     def __len__(self):
         return self.trits.size
+
+
+def _check_planes(pos: np.ndarray, neg: np.ndarray, d: int, shape: tuple) -> None:
+    """The plane invariants, for one code (shape (words,)) or many (shape (n, words))."""
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d!r}")
+    if pos.shape != shape or neg.shape != shape:
+        raise ValueError(f"expected {shape[-1]} words per plane for d={d}")
+    if (pos & neg).any():
+        raise ValueError("a trit cannot be both +1 and -1")
+    tail = d % 64
+    if tail and ((pos[..., -1] | neg[..., -1]) >> tail).any():
+        raise ValueError(f"bits set beyond d={d}")
+
+
+def _words(d) -> int:
+    return (operator.index(d) + 63) // 64
 
 
 @dataclass(frozen=True)
@@ -53,24 +80,65 @@ class PackedCode:
     def __post_init__(self):
         pos = np.asarray(self.pos, dtype=np.uint64)
         neg = np.asarray(self.neg, dtype=np.uint64)
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d!r}")
-        words = (self.d + 63) // 64
-        if pos.shape != (words,) or neg.shape != (words,):
-            raise ValueError(f"expected {words} words per plane for d={self.d}")
-        if np.any(pos & neg):
-            raise ValueError("a trit cannot be both +1 and -1")
-        tail = self.d % 64
-        if tail:
-            mask = np.uint64((1 << tail) - 1)
-            if (pos[-1] & ~mask) or (neg[-1] & ~mask):
-                raise ValueError(f"bits set beyond d={self.d}")
+        _check_planes(pos, neg, self.d, (_words(self.d),))
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
 
     def __eq__(self, other):
         if not isinstance(other, PackedCode):
             return NotImplemented
+        return self.d == other.d and np.array_equal(self.pos, other.pos) and np.array_equal(self.neg, other.neg)
+
+
+@dataclass(frozen=True, eq=False)
+class CodeMatrix(Sequence):
+    """n codes of one length d: [n, words] uint64 positive and negative planes.
+
+    A read-only sequence of PackedCode: an int index gives one code, a slice
+    gives a CodeMatrix, and it equals any sequence of PackedCode with the
+    same rows.
+    """
+
+    pos: np.ndarray
+    neg: np.ndarray
+    d: int
+
+    def __post_init__(self):
+        pos = np.ascontiguousarray(self.pos, dtype=np.uint64)
+        neg = np.ascontiguousarray(self.neg, dtype=np.uint64)
+        if pos.ndim != 2:
+            raise ValueError(f"planes must be [n x words] arrays, got shape {pos.shape}")
+        _check_planes(pos, neg, self.d, (pos.shape[0], _words(self.d)))
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+
+    @classmethod
+    def of(cls, codes) -> CodeMatrix:
+        """The codes as one matrix; a CodeMatrix is returned as is."""
+        if isinstance(codes, CodeMatrix):
+            return codes
+        codes = list(codes)
+        if not codes:
+            raise ValueError("no codes given")
+        d = codes[0].d
+        if any(c.d != d for c in codes):
+            raise ValueError("all codes must share one length")
+        return cls(pos=np.stack([c.pos for c in codes]), neg=np.stack([c.neg for c in codes]), d=d)
+
+    def __len__(self):
+        return self.pos.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CodeMatrix(pos=self.pos[i], neg=self.neg[i], d=self.d)
+        i = operator.index(i)
+        return PackedCode(pos=self.pos[i], neg=self.neg[i], d=self.d)
+
+    def __eq__(self, other):
+        if not isinstance(other, CodeMatrix):
+            if not isinstance(other, Sequence) or not all(isinstance(c, PackedCode) for c in other):
+                return NotImplemented
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
         return self.d == other.d and np.array_equal(self.pos, other.pos) and np.array_equal(self.neg, other.neg)
 
 
@@ -84,20 +152,30 @@ def ternarize(features, alpha: float) -> TernaryCode:
     return TernaryCode(hard_ternary(arr, alpha))
 
 
-def _pack_plane(bits: np.ndarray) -> np.ndarray:
-    words = (bits.size + 63) // 64
-    padded = np.zeros(words * 64, dtype=np.uint8)
-    padded[: bits.size] = bits
-    return np.packbits(padded, bitorder="little").view("<u8").astype(np.uint64)
+def _pack_planes(trits: np.ndarray) -> tuple:
+    """[n, d] trits -> [n, words] positive and negative planes; bit i of a row is trit i."""
+    n, d = trits.shape
+    planes = np.zeros((2, n, 8 * _words(d)), dtype=np.uint8)
+    planes[..., : (d + 7) // 8] = np.packbits(np.stack((trits == 1, trits == -1)), axis=-1, bitorder="little")
+    planes = planes.view("<u8").astype(np.uint64, copy=False)
+    return planes[0], planes[1]
 
 
 def pack(code: TernaryCode) -> PackedCode:
     """Split trits into the two bitplanes."""
-    return PackedCode(
-        pos=_pack_plane((code.trits == 1).astype(np.uint8)),
-        neg=_pack_plane((code.trits == -1).astype(np.uint8)),
-        d=code.trits.size,
-    )
+    pos, neg = _pack_planes(code.trits[None, :])
+    return PackedCode(pos=pos[0], neg=neg[0], d=code.trits.size)
+
+
+def pack_matrix(trits) -> CodeMatrix:
+    """Pack an [n, d] trit matrix (one code per row) into a CodeMatrix."""
+    arr = np.asarray(trits)
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValueError(f"trits must be an [n x d] matrix with d >= 1, got shape {arr.shape}")
+    if not _is_trits(arr):
+        raise ValueError("trits must take values in {-1, 0, +1}")
+    pos, neg = _pack_planes(arr)
+    return CodeMatrix(pos=pos, neg=neg, d=arr.shape[1])
 
 
 def unpack(packed: PackedCode) -> TernaryCode:
@@ -119,39 +197,30 @@ def hamming(a: PackedCode, b: PackedCode) -> int:
     return int(np.bitwise_count(a.pos ^ b.pos).sum() + np.bitwise_count(a.neg ^ b.neg).sum())
 
 
-def save_codes(path, codes: list[PackedCode]) -> None:
+def save_codes(path, codes) -> None:
     """Write packed codes: magic 'TNC1', u32 count, u32 d, then per code the
     positive plane's words followed by the negative plane's, all little-endian u64."""
-    if not codes:
+    if not len(codes):
         raise ValueError("cannot save an empty code list")
-    d = codes[0].d
-    if any(c.d != d for c in codes):
-        raise ValueError("all codes must share one length")
+    m = CodeMatrix.of(codes)
     with open(path, "wb") as fh:
         fh.write(_CODES_MAGIC)
-        fh.write(struct.pack("<II", len(codes), d))
-        for c in codes:
-            fh.write(c.pos.astype("<u8").tobytes())
-            fh.write(c.neg.astype("<u8").tobytes())
+        fh.write(struct.pack("<II", len(m), m.d))
+        fh.write(np.concatenate([m.pos, m.neg], axis=1).astype("<u8").tobytes())
 
 
-def load_codes(path) -> list[PackedCode]:
+def load_codes(path) -> CodeMatrix:
     """Inverse of save_codes."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CODES_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_CODES_MAGIC!r}")
-        n, d = struct.unpack("<II", fh.read(8))
+        n, d = struct.unpack("<II", read_exact(fh, 8, "code file header"))
         if n < 1 or d < 1:
             raise ValueError(f"invalid header: n={n}, d={d}")
-        words = (d + 63) // 64
-        out = []
-        for _ in range(n):
-            raw = fh.read(2 * words * 8)
-            if len(raw) != 2 * words * 8:
-                raise ValueError("truncated code payload")
-            planes = np.frombuffer(raw, dtype="<u8")
-            out.append(PackedCode(pos=planes[:words].astype(np.uint64), neg=planes[words:].astype(np.uint64), d=d))
+        words = _words(d)
+        raw = read_exact(fh, n * 2 * words * 8, "code payload")
         if fh.read(1):
             raise ValueError("trailing bytes after code payload")
-    return out
+    planes = np.frombuffer(raw, dtype="<u8").reshape(n, 2, words)
+    return CodeMatrix(pos=planes[:, 0], neg=planes[:, 1], d=d)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._fileio import read_exact
+
 _FEATURES_MAGIC = b"TFV1"
 
 
@@ -153,12 +155,10 @@ def load_features(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != _FEATURES_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_FEATURES_MAGIC!r}")
-        n, dim = struct.unpack("<II", fh.read(8))
+        n, dim = struct.unpack("<II", read_exact(fh, 8, "feature file header"))
         if n < 1 or dim < 1:
             raise ValueError(f"invalid header: n={n}, dim={dim}")
-        raw = fh.read(4 * n * dim)
-        if len(raw) != 4 * n * dim:
-            raise ValueError("truncated feature payload")
+        raw = read_exact(fh, 4 * n * dim, "feature payload")
         if fh.read(1):
             raise ValueError("trailing bytes after feature payload")
     return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(n, dim)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from ..activation import ActivationConfig, ContinuationSchedule, schedule_k
-from ..codes import pack, ternarize
+from ..activation import ActivationConfig, ContinuationSchedule, hard_ternary, schedule_k
+from ..codes import CodeMatrix, pack_matrix
 from ..network import (
     Network,
     NetworkConfig,
@@ -27,18 +27,17 @@ from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_splits, single_labels
 
 
-def encode_dataset(net: Network, features) -> list:
-    """Hash, threshold at the network's alpha, and pack each row."""
-    alpha = net.config.activation.alpha
-    return [pack(ternarize(row, alpha)) for row in hash_features(net, features)]
+def encode_dataset(net: Network, features) -> CodeMatrix:
+    """Hash, threshold at the network's alpha, and pack: one code per feature row."""
+    return pack_matrix(hard_ternary(hash_features(net, features), net.config.activation.alpha))
 
 
 @dataclass(frozen=True)
 class TwoStepResult:
     network: Network
     logs: list
-    retrieval_codes: list
-    query_codes: list
+    retrieval_codes: CodeMatrix
+    query_codes: CodeMatrix
 
 
 def two_step_baseline(dataset: Dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig) -> TwoStepResult:

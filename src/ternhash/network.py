@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fileio import read_exact
 from .activation import (
     ActivationConfig,
     ContinuationSchedule,
@@ -356,10 +357,10 @@ def load_checkpoint(path):
         magic = fh.read(4)
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_CHECKPOINT_MAGIC!r}")
-        input_dim, n_hidden = struct.unpack("<II", fh.read(8))
-        hidden_dims = struct.unpack(f"<{n_hidden}I", fh.read(4 * n_hidden))
-        code_dim, num_classes, seed = struct.unpack("<IIQ", fh.read(16))
-        alpha, k, k_start, k_end, stride, total = struct.unpack("<dIIIII", fh.read(28))
+        input_dim, n_hidden = struct.unpack("<II", read_exact(fh, 8, "checkpoint header"))
+        hidden_dims = struct.unpack(f"<{n_hidden}I", read_exact(fh, 4 * n_hidden, "checkpoint header"))
+        code_dim, num_classes, seed = struct.unpack("<IIQ", read_exact(fh, 16, "checkpoint header"))
+        alpha, k, k_start, k_end, stride, total = struct.unpack("<dIIIII", read_exact(fh, 28, "checkpoint header"))
         cfg = NetworkConfig(
             input_dim=input_dim,
             hidden_dims=hidden_dims,
@@ -372,10 +373,8 @@ def load_checkpoint(path):
         dims = cfg.layer_dims
         weights, biases = [], []
         for fan_in, fan_out in zip(dims, dims[1:]):
-            w_raw = fh.read(4 * fan_in * fan_out)
-            b_raw = fh.read(4 * fan_out)
-            if len(w_raw) != 4 * fan_in * fan_out or len(b_raw) != 4 * fan_out:
-                raise ValueError("truncated parameter payload")
+            w_raw = read_exact(fh, 4 * fan_in * fan_out, "parameter payload")
+            b_raw = read_exact(fh, 4 * fan_out, "parameter payload")
             weights.append(np.frombuffer(w_raw, dtype="<f4").astype(np.float64).reshape(fan_in, fan_out))
             biases.append(np.frombuffer(b_raw, dtype="<f4").astype(np.float64))
         if fh.read(1):

@@ -10,39 +10,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import PackedCode
+from .codes import CodeMatrix, PackedCode
 
 
 @dataclass(frozen=True)
 class RetrievalIndex:
-    """Immutable database of packed codes plus per-item label sets."""
+    """Immutable database of packed codes plus per-item label sets.
 
-    codes: list[PackedCode]
+    codes may be a CodeMatrix or a sequence of PackedCode; it is held as a
+    CodeMatrix. Label postings (label -> ascending item ids) are built once.
+    """
+
+    codes: CodeMatrix
     labels: list[frozenset]
-    _pos: np.ndarray = field(init=False, repr=False)
-    _neg: np.ndarray = field(init=False, repr=False)
+    _postings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.codes:
+        if not len(self.codes):
             raise ValueError("index must hold at least one code")
         if len(self.codes) != len(self.labels):
             raise ValueError(f"{len(self.codes)} codes vs {len(self.labels)} label sets")
-        d = self.codes[0].d
-        if any(c.d != d for c in self.codes):
-            raise ValueError("all index codes must share one length")
         labels = [frozenset(ls) for ls in self.labels]
         if any(not ls for ls in labels):
             raise ValueError("every item needs at least one label")
+        postings = {}
+        for i, ls in enumerate(labels):
+            for label in ls:
+                postings.setdefault(label, []).append(i)
+        object.__setattr__(self, "codes", CodeMatrix.of(self.codes))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_pos", np.stack([c.pos for c in self.codes]))
-        object.__setattr__(self, "_neg", np.stack([c.neg for c in self.codes]))
+        object.__setattr__(self, "_postings", {label: np.array(ids) for label, ids in postings.items()})
 
     @property
     def d(self) -> int:
-        return self.codes[0].d
+        return self.codes.d
 
     def __len__(self):
         return len(self.codes)
+
+    def _relevant(self, query_labels) -> np.ndarray:
+        """Boolean mask over items: True where the item shares a label with the query."""
+        mask = np.zeros(len(self), dtype=bool)
+        for label in query_labels:
+            ids = self._postings.get(label)
+            if ids is not None:
+                mask[ids] = True
+        return mask
 
 
 def _resolve_k(k, n: int) -> int:
@@ -53,12 +66,22 @@ def _resolve_k(k, n: int) -> int:
     return k
 
 
-def _distances(index: RetrievalIndex, query: PackedCode) -> np.ndarray:
-    if query.d != index.d:
-        raise ValueError(f"query length {query.d} does not match index length {index.d}")
-    return (
-        np.bitwise_count(index._pos ^ query.pos).sum(axis=1) + np.bitwise_count(index._neg ^ query.neg).sum(axis=1)
-    ).astype(np.int64)
+def _check_length(index: RetrievalIndex, d: int) -> None:
+    if d != index.d:
+        raise ValueError(f"query length {d} does not match index length {index.d}")
+
+
+def _rank(index: RetrievalIndex, pos: np.ndarray, neg: np.ndarray, cut: int) -> tuple:
+    """(ids, distances) of one query's first cut items: ascending distance, then ascending id.
+
+    Distances fit the smallest unsigned dtype holding 2d, on which numpy's
+    stable sort is a radix sort over the 2d+1 possible values.
+    """
+    dtype = np.min_scalar_type(2 * index.d)
+    dist = np.bitwise_count(index.codes.pos ^ pos).sum(axis=1, dtype=dtype)
+    dist += np.bitwise_count(index.codes.neg ^ neg).sum(axis=1, dtype=dtype)
+    order = np.argsort(dist, kind="stable")[:cut]
+    return order, dist[order]
 
 
 def query_topk(index: RetrievalIndex, query: PackedCode, k) -> list[tuple[int, int]]:
@@ -67,9 +90,9 @@ def query_topk(index: RetrievalIndex, query: PackedCode, k) -> list[tuple[int, i
     k is an int in [1, len(index)] or the string "all".
     """
     cut = _resolve_k(k, len(index))
-    dists = _distances(index, query)
-    order = np.argsort(dists, kind="stable")[:cut]
-    return [(int(i), int(dists[i])) for i in order]
+    _check_length(index, query.d)
+    ids, dist = _rank(index, query.pos, query.neg, cut)
+    return list(zip(ids.tolist(), dist.tolist()))
 
 
 def average_precision(relevances, k: int, *, total_relevant=None) -> float:
@@ -77,17 +100,16 @@ def average_precision(relevances, k: int, *, total_relevant=None) -> float:
 
     Sum of precision-at-hit over hits, divided by total_relevant (defaults to
     the number of hits within the cut). 0.0 when nothing relevant is found.
+    The sum is a cumulative sum, so it adds term by term in rank order.
     """
     if k < 1 or k > len(relevances):
         raise ValueError(f"k must be in [1, {len(relevances)}], got {k!r}")
     positions = np.flatnonzero(np.asarray(relevances[:k]))
-    acc = 0.0
-    for hits, i in enumerate(positions, start=1):
-        acc += hits / (int(i) + 1)
     denom = len(positions) if total_relevant is None else total_relevant
     if len(positions) == 0 or denom == 0:
         return 0.0
-    return acc / denom
+    acc = np.cumsum(np.arange(1, len(positions) + 1) / (positions + 1))[-1]
+    return float(acc / denom)
 
 
 @dataclass(frozen=True)
@@ -109,19 +131,21 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
         raise ValueError(f'normalization must be "found" or "capped", got {normalization!r}')
     if len(query_codes) != len(query_labels):
         raise ValueError(f"{len(query_codes)} query codes vs {len(query_labels)} label sets")
-    if not query_codes:
+    if not len(query_codes):
         raise ValueError("query set must be non-empty")
+    queries = CodeMatrix.of(query_codes)
+    _check_length(index, queries.d)
     cut = _resolve_k(k, len(index))
     aps = []
-    for code, qlabels in zip(query_codes, query_labels):
+    for pos, neg, qlabels in zip(queries.pos, queries.neg, query_labels):
         qlabels = frozenset(qlabels)
         if not qlabels:
             raise ValueError("every query needs at least one label")
-        relevant = np.fromiter((bool(ls & qlabels) for ls in index.labels), dtype=bool, count=len(index))
-        order = np.argsort(_distances(index, code), kind="stable")[:cut]
+        relevant = index._relevant(qlabels)
+        order, _ = _rank(index, pos, neg, cut)
         total = None
         if normalization == "capped":
-            total = min(int(relevant.sum()), cut)
+            total = min(int(np.count_nonzero(relevant)), cut)
         aps.append(average_precision(relevant[order], cut, total_relevant=total))
     acc = 0.0
     for ap in aps:

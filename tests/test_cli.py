@@ -181,3 +181,29 @@ def test_encode_dim_mismatch_is_reported(tmp_path, capsys):
     code, out, err = run(capsys, "encode", "--checkpoint", str(ckpt), "--features", str(feats), "--out", str(tmp_path / "o.tnc"))
     assert code == 1
     assert "dim" in err
+
+
+@pytest.mark.parametrize("kind", ["tnc", "tnh", "tfv"])
+def test_truncated_header_is_one_line_error(tmp_path, capsys, kind):
+    from ternhash import ContinuationSchedule, Network, NetworkConfig, save_checkpoint
+    from ternhash.harness import save_features, save_labels
+
+    ckpt, feats = tmp_path / "m.tnh", tmp_path / "x.tfv"
+    save_checkpoint(ckpt, Network.initialize(NetworkConfig(input_dim=8, code_dim=6, num_classes=3)),
+                    ContinuationSchedule())
+    save_features(feats, np.ones((2, 8), dtype=np.float32))
+    save_labels(tmp_path / "x.labels", [{0}])
+    cut = {"tnc": b"TNC1\x01\x00", "tnh": ckpt.read_bytes()[:8], "tfv": feats.read_bytes()[:6]}[kind]
+    bad = tmp_path / f"cut.{kind}"
+    bad.write_bytes(cut)
+    if kind == "tnc":
+        labels = str(tmp_path / "x.labels")
+        argv = ["eval", "--codes", str(bad), "--labels", labels, "--query-codes", str(bad), "--query-labels", labels]
+    else:
+        argv = ["encode", "--checkpoint", str(ckpt if kind == "tfv" else bad),
+                "--features", str(bad if kind == "tfv" else feats), "--out", str(tmp_path / "o.tnc")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: truncated")
+    assert len(err.strip().splitlines()) == 1

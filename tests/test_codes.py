@@ -1,9 +1,13 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ternhash import (
+    CodeMatrix,
     PackedCode,
     TernaryCode,
     encode_binary,
@@ -11,6 +15,7 @@ from ternhash import (
     hard_ternary,
     load_codes,
     pack,
+    pack_matrix,
     save_codes,
     ternarize,
     unpack,
@@ -29,6 +34,11 @@ def test_ternary_code_validation():
         TernaryCode(np.array([], dtype=np.int8))
     with pytest.raises(ValueError):
         TernaryCode(np.zeros((2, 2), dtype=np.int8))
+    # values, not dtypes, decide: 1.0 is a trit, 0.5 and NaN are not
+    assert TernaryCode(np.array([1.0, 0.0, -1.0])) == code(1, 0, -1)
+    for bad in (0.5, np.nan, -2.0):
+        with pytest.raises(ValueError):
+            TernaryCode(np.array([1.0, bad]))
 
 
 def test_packed_code_invariants():
@@ -142,3 +152,90 @@ def test_codes_file_errors(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ValueError):
         load_codes(path)
+    # a cut header, and a header claiming 2**31 codes, fail before any allocation
+    for blob in (b"TNC1\x01\x00", b"TNC1" + struct.pack("<II", 1 << 31, 64)):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="truncated"):
+            load_codes(path)
+
+
+def random_trits(rng, n, d):
+    return rng.integers(-1, 2, size=(n, d)).astype(np.int8)
+
+
+def test_pack_matrix_matches_row_by_row_pack():
+    rng = np.random.default_rng(10)
+    for d in (1, 16, 63, 64, 65, 70, 130):
+        trits = random_trits(rng, 9, d)
+        m = pack_matrix(trits)
+        assert m.pos.shape == m.neg.shape == (9, (d + 63) // 64)
+        assert m == [pack(TernaryCode(t)) for t in trits]
+    with pytest.raises(ValueError):
+        pack_matrix(np.array([[1, 2]]))
+    with pytest.raises(ValueError):
+        pack_matrix(np.array([1, 0, -1]))
+
+
+def test_code_matrix_is_a_sequence_of_packed_codes():
+    rng = np.random.default_rng(11)
+    trits = random_trits(rng, 6, 70)
+    rows = [pack(TernaryCode(t)) for t in trits]
+    m = CodeMatrix.of(rows)
+    assert len(m) == 6
+    assert list(m) == rows
+    assert m[2] == rows[2] and m[-1] == rows[-1]
+    assert isinstance(m[1:4], CodeMatrix) and m[1:4] == rows[1:4]
+    assert m[::-1] == rows[::-1]
+    assert len(m[6:]) == 0 and m[6:] == []
+    assert m == rows and rows == m and m == tuple(rows)
+    assert m != rows[:5] and m != rows[::-1] and m != "codes"
+    assert CodeMatrix.of(m) is m
+    with pytest.raises(IndexError):
+        m[6]
+    with pytest.raises(ValueError):
+        CodeMatrix.of([])
+    with pytest.raises(ValueError):
+        CodeMatrix.of([pack(code(1, 0)), pack(code(1, 0, -1))])
+
+
+def test_code_matrix_invariants():
+    one = np.array([[1]], dtype=np.uint64)
+    zero = np.array([[0]], dtype=np.uint64)
+    with pytest.raises(ValueError):
+        CodeMatrix(pos=one, neg=one, d=4)  # a trit both +1 and -1
+    with pytest.raises(ValueError):
+        CodeMatrix(pos=one << np.uint64(10), neg=zero, d=4)  # a bit past d
+    with pytest.raises(ValueError):
+        CodeMatrix(pos=zero, neg=zero, d=65)  # one word where d needs two
+    with pytest.raises(ValueError):
+        CodeMatrix(pos=zero[0], neg=zero[0], d=4)  # not [n x words]
+    with pytest.raises(ValueError):
+        CodeMatrix(pos=zero, neg=zero, d=0)
+    assert len(CodeMatrix(pos=zero, neg=zero, d=64)) == 1
+
+
+def valid_tnc(tmp_dir) -> bytes:
+    rng = np.random.default_rng(12)
+    path = tmp_dir / "valid.tnc"
+    save_codes(path, pack_matrix(random_trits(rng, 3, 70)))
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_codes_file_corruption_loads_exactly_or_raises_value_error(tmp_path, data):
+    raw = valid_tnc(tmp_path)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        blob = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
+    path = tmp_path / "corrupt.tnc"
+    path.write_bytes(blob)
+    try:
+        loaded = load_codes(path)
+    except ValueError:
+        return
+    save_codes(tmp_path / "resaved.tnc", loaded)
+    assert (tmp_path / "resaved.tnc").read_bytes() == blob

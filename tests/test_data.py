@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,11 @@ def test_features_file_errors(tmp_path):
     long.write_bytes(raw + b"!")
     with pytest.raises(ValueError):
         load_features(long)
+    # a cut header, and a header claiming 2**31 x 2**31 floats, fail before any allocation
+    for name, blob in (("header.tfv", raw[:6]), ("huge.tfv", b"TFV1" + struct.pack("<II", 1 << 31, 1 << 31))):
+        (tmp_path / name).write_bytes(blob)
+        with pytest.raises(ValueError, match="truncated"):
+            load_features(tmp_path / name)
     with pytest.raises(ValueError):
         save_features(tmp_path / "e.tfv", np.zeros((0, 3)))
 

@@ -44,16 +44,22 @@ def test_stage_end_epochs_default_schedule():
 
 
 def test_encode_dataset_matches_manual_path():
-    from ternhash import TernaryCode, hash_features, pack
+    from ternhash import CodeMatrix, TernaryCode, hash_features, pack, ternarize
 
     ds = gen_synthetic(3, 20, 8, 0.2, 1)
-    cfg = NetworkConfig(input_dim=8, hidden_dims=(16,), code_dim=6, num_classes=3, seed=1)
-    net = Network.initialize(cfg)
-    codes = encode_dataset(net, ds.features[:5])
-    pre = hash_features(net, ds.features[:5])
-    for row, code in zip(pre, codes):
-        trits = np.where(row >= 0.5, 1, np.where(row <= -0.5, -1, 0)).astype(np.int8)
-        assert code == pack(TernaryCode(trits))
+    for code_dim in (6, 64, 70, 130):
+        cfg = NetworkConfig(input_dim=8, hidden_dims=(16,), code_dim=code_dim, num_classes=3, seed=1)
+        net = Network.initialize(cfg)
+        codes = encode_dataset(net, ds.features)
+        assert isinstance(codes, CodeMatrix) and len(codes) == len(ds.features)
+        pre = hash_features(net, ds.features)
+        rows = [pack(ternarize(row, 0.5)) for row in pre]
+        assert codes == rows
+        assert np.array_equal(codes.pos, np.stack([c.pos for c in rows]))
+        assert np.array_equal(codes.neg, np.stack([c.neg for c in rows]))
+        for row, code in zip(pre, codes):
+            trits = np.where(row >= 0.5, 1, np.where(row <= -0.5, -1, 0)).astype(np.int8)
+            assert code == pack(TernaryCode(trits))
 
 
 def test_run_seed_shapes():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -394,3 +395,8 @@ def test_checkpoint_errors(tmp_path):
     padded.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError):
         load_checkpoint(padded)
+    # a cut header, and a header claiming 2**31 hidden layers, fail before any allocation
+    for name, blob in (("header.tnh", raw[:8]), ("huge.tnh", raw[:8] + struct.pack("<I", 1 << 31) + raw[12:])):
+        (tmp_path / name).write_bytes(blob)
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(tmp_path / name)

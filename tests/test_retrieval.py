@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ternhash import (
+    CodeMatrix,
     RetrievalIndex,
     TernaryCode,
     average_precision,
@@ -158,3 +159,87 @@ def test_format_report():
     assert lines[1] == "1 1.000000"
     assert lines[-1] == "mAP 1.000000"
     assert text.endswith("\n")
+
+
+# The per-query ranking the array-native routine replaced, kept as the
+# reference: row-stacked planes, a stable argsort of int64 distances,
+# relevance by frozenset intersection per item, and AP summed in a loop.
+
+
+def _distances(pos, neg, query):
+    return (np.bitwise_count(pos ^ query.pos).sum(axis=1) + np.bitwise_count(neg ^ query.neg).sum(axis=1)).astype(
+        np.int64
+    )
+
+
+def loop_average_precision(relevances, k, total_relevant=None):
+    positions = np.flatnonzero(np.asarray(relevances[:k]))
+    acc = 0.0
+    for hits, i in enumerate(positions, start=1):
+        acc += hits / (int(i) + 1)
+    denom = len(positions) if total_relevant is None else total_relevant
+    if len(positions) == 0 or denom == 0:
+        return 0.0
+    return acc / denom
+
+
+def reference_topk(codes, query, k):
+    cut = len(codes) if k == "all" else k
+    dists = _distances(np.stack([c.pos for c in codes]), np.stack([c.neg for c in codes]), query)
+    return [(int(i), int(dists[i])) for i in np.argsort(dists, kind="stable")[:cut]]
+
+
+def reference_mean_ap(codes, labels, query_codes, query_labels, k, normalization):
+    pos, neg = np.stack([c.pos for c in codes]), np.stack([c.neg for c in codes])
+    cut = len(codes) if k == "all" else k
+    aps = []
+    for code, qlabels in zip(query_codes, query_labels):
+        relevant = np.fromiter((bool(ls & qlabels) for ls in labels), dtype=bool, count=len(codes))
+        order = np.argsort(_distances(pos, neg, code), kind="stable")[:cut]
+        total = min(int(relevant.sum()), cut) if normalization == "capped" else None
+        aps.append(loop_average_precision(relevant[order], cut, total))
+    acc = 0.0
+    for ap in aps:
+        acc += ap
+    return aps, acc / len(aps)
+
+
+def tied_instance(rng, n, d, classes=5):
+    """Codes drawn near a few prototypes, so many items tie; about a third carry two labels."""
+    protos = rng.integers(-1, 2, size=(4, d)).astype(np.int8)
+    trits = protos[rng.integers(0, len(protos), size=n)]
+    for row in trits:
+        at = rng.integers(0, d, size=2)
+        row[at] = rng.integers(-1, 2, size=2)
+    codes = [pack(TernaryCode(t)) for t in trits]
+    labels = [
+        frozenset(rng.choice(classes, size=1 + int(rng.random() < 1 / 3), replace=False).tolist()) for _ in range(n)
+    ]
+    return codes, labels
+
+
+@pytest.mark.parametrize("d", [1, 16, 64, 70, 130])
+def test_ranking_equals_reference(d):
+    rng = np.random.default_rng(d)
+    codes, labels = tied_instance(rng, 150, d)
+    qcodes, qlabels = tied_instance(rng, 20, d)
+    index = RetrievalIndex(codes=codes, labels=labels)
+    assert RetrievalIndex(codes=CodeMatrix.of(codes), labels=labels).codes == index.codes
+    for k in (1, 7, "all"):
+        for q in qcodes:
+            assert query_topk(index, q, k) == reference_topk(codes, q, k)
+        for normalization in ("found", "capped"):
+            aps, mean = reference_mean_ap(codes, labels, qcodes, qlabels, k, normalization)
+            for queries in (qcodes, CodeMatrix.of(qcodes)):
+                report = mean_ap(index, queries, qlabels, k, normalization=normalization)
+                assert report.per_query_ap == aps
+                assert report.map == mean
+
+
+def test_average_precision_equals_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        rel = (rng.random(int(rng.integers(1, 300))) < rng.random()).tolist()
+        k = int(rng.integers(1, len(rel) + 1))
+        for total in (None, 0, k, sum(rel[:k]) + 3):
+            assert average_precision(rel, k, total_relevant=total) == loop_average_precision(rel, k, total)
