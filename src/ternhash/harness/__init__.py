@@ -20,6 +20,7 @@ from .experiment import (
     format_experiment_report,
     run_experiment,
     run_seed,
+    seed_setup,
     two_step_baseline,
 )
 
@@ -45,5 +46,6 @@ __all__ = [
     "format_experiment_report",
     "run_experiment",
     "run_seed",
+    "seed_setup",
     "two_step_baseline",
 ]

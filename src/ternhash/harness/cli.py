@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..activation import ActivationConfig, ContinuationSchedule
 from ..codes import load_codes, save_codes
-from ..network import NetworkConfig, TrainConfig, load_checkpoint, save_checkpoint, train
+from ..network import load_checkpoint, quantization_error, save_checkpoint, train
 from ..retrieval import RetrievalIndex, format_report, mean_ap
 from .config import load_config
 from .data import gen_synthetic, load_features, load_labels, save_splits, single_labels
-from .experiment import _dataset_for_seed, encode_dataset, format_experiment_report, run_experiment
+from .experiment import encode_dataset, format_experiment_report, run_experiment, seed_setup
 
 
 def _cmd_gen(args) -> int:
@@ -39,35 +38,17 @@ def _parse_eval_k(raw: str):
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    seed = cfg.seeds[0] if args.seed is None else args.seed
-    dataset = _dataset_for_seed(cfg, seed)
-    net_cfg = NetworkConfig(
-        input_dim=dataset.input_dim,
-        hidden_dims=cfg.hidden_dims,
-        code_dim=cfg.code_dim,
-        num_classes=dataset.num_classes,
-        activation=ActivationConfig(alpha=cfg.alpha, k=cfg.k_start),
-        seed=seed,
-    )
-    schedule = ContinuationSchedule(
-        k_start=cfg.k_start, k_end=cfg.k_end, stride_epochs=cfg.stride_epochs, total_epochs=cfg.epochs
-    )
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr0=cfg.lr0,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        schedule=schedule,
-    )
+    dataset, net_cfg, train_cfg = seed_setup(cfg, cfg.seeds[0] if args.seed is None else args.seed)
     feats, label_sets = dataset.subset(dataset.train_ids)
-    net, logs = train(net_cfg, train_cfg, feats, single_labels(label_sets), ternary=True)
-    for entry in logs:
+
+    def report(net, entry):
         print(
             f"epoch {entry.epoch:<3d} k {entry.k:<2d} lr {entry.lr:.8f} "
-            f"loss {entry.loss:.6f} quant_error {entry.quant_error:.6f}"
+            f"loss {entry.loss:.6f} quant_error {quantization_error(net, feats, entry.k):.6f}"
         )
-    save_checkpoint(args.out, net, schedule)
+
+    net, _ = train(net_cfg, train_cfg, feats, single_labels(label_sets), ternary=True, epoch_hook=report)
+    save_checkpoint(args.out, net, train_cfg.schedule)
     print(args.out)
     return 0
 

@@ -22,7 +22,7 @@ from ..network import (
     quantization_error,
     train,
 )
-from ..retrieval import RetrievalIndex, mean_ap
+from ..retrieval import RetrievalIndex, _resolve_k, mean_ap
 from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_splits, single_labels
 
@@ -82,23 +82,25 @@ def _stage_end_epochs(schedule: ContinuationSchedule, epochs: int) -> list:
     return ends
 
 
-def _dataset_for_seed(cfg: ExperimentConfig, seed: int) -> Dataset:
+def seed_setup(cfg: ExperimentConfig, seed: int) -> tuple:
+    """The (Dataset, NetworkConfig, TrainConfig) that one seed of a config runs with.
+
+    Checks eval_k against the retrieval split here, so a config that cannot
+    be scored fails before anything trains.
+    """
     if cfg.data_prefix is not None:
-        return load_splits(cfg.data_prefix)
-    return gen_synthetic(
-        cfg.classes,
-        cfg.per_class,
-        cfg.input_dim,
-        cfg.spread,
-        seed,
-        query_fraction=cfg.query_fraction,
-        train_fraction=cfg.train_fraction,
-    )
-
-
-def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
-    """Train and evaluate both arms for one seed."""
-    dataset = _dataset_for_seed(cfg, seed)
+        dataset = load_splits(cfg.data_prefix)
+    else:
+        dataset = gen_synthetic(
+            cfg.classes,
+            cfg.per_class,
+            cfg.input_dim,
+            cfg.spread,
+            seed,
+            query_fraction=cfg.query_fraction,
+            train_fraction=cfg.train_fraction,
+        )
+    _resolve_k(cfg.eval_k, len(dataset.retrieval_ids))
     net_cfg = NetworkConfig(
         input_dim=dataset.input_dim,
         hidden_dims=cfg.hidden_dims,
@@ -107,22 +109,27 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         activation=ActivationConfig(alpha=cfg.alpha, k=cfg.k_start),
         seed=seed,
     )
-    schedule = ContinuationSchedule(
-        k_start=cfg.k_start, k_end=cfg.k_end, stride_epochs=cfg.stride_epochs, total_epochs=cfg.epochs
-    )
     train_cfg = TrainConfig(
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         lr0=cfg.lr0,
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
-        schedule=schedule,
+        schedule=ContinuationSchedule(
+            k_start=cfg.k_start, k_end=cfg.k_end, stride_epochs=cfg.stride_epochs, total_epochs=cfg.epochs
+        ),
     )
+    return dataset, net_cfg, train_cfg
+
+
+def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
+    """Train and evaluate both arms for one seed."""
+    dataset, net_cfg, train_cfg = seed_setup(cfg, seed)
     train_feats, train_label_sets = dataset.subset(dataset.train_ids)
     retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
     query_feats, query_labels = dataset.subset(dataset.query_ids)
 
-    stage_ends = _stage_end_epochs(schedule, cfg.epochs)
+    stage_ends = _stage_end_epochs(train_cfg.schedule, cfg.epochs)
     stage_errors = {}
 
     def snapshot(net, entry):

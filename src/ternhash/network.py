@@ -91,10 +91,10 @@ class Network:
         return out
 
 
-def _check_batch(net: Network, batch) -> np.ndarray:
+def _check_batch(batch, input_dim: int) -> np.ndarray:
     arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != net.config.input_dim:
-        raise ValueError(f"batch must be non-empty [B x {net.config.input_dim}], got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != input_dim:
+        raise ValueError(f"batch must be non-empty [B x {input_dim}], got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("batch must be finite")
     return arr
@@ -139,9 +139,17 @@ def forward(net: Network, batch, k):
     hash_pre itself when k is None (the plain-feature variant the two-step
     baseline trains).
     """
-    arr = _check_batch(net, batch)
+    arr = _check_batch(batch, net.config.input_dim)
     _, _, _, hash_pre, hash_act, logits = _forward_cached(net, arr, k)
     return hash_pre, hash_act, logits
+
+
+def _log_softmax(logits: np.ndarray):
+    """Row-wise (log softmax, softmax) of max-subtracted logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    return shifted - np.log(total), exp / total
 
 
 def cross_entropy(logits, labels) -> float:
@@ -150,8 +158,7 @@ def cross_entropy(logits, labels) -> float:
     if logits.ndim != 2 or logits.shape[0] == 0:
         raise ValueError(f"logits must be non-empty [B x C], got shape {logits.shape}")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs, _ = _log_softmax(logits)
     return float(-log_probs[np.arange(labels.size), labels].mean())
 
 
@@ -160,10 +167,7 @@ def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k):
     hidden_in, pre_relu, h_last, hash_pre, hash_act, logits = _forward_cached(net, batch, k)
     b_size = batch.shape[0]
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    softmax = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
+    log_probs, softmax = _log_softmax(logits)
     loss = float(-log_probs[np.arange(b_size), labels].mean())
 
     dlogits = softmax.copy()
@@ -195,7 +199,7 @@ def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k):
 
 def backward(net: Network, batch, labels, k) -> list:
     """Exact gradients of cross_entropy(forward(...)) for every parameter, in params() order."""
-    arr = _check_batch(net, batch)
+    arr = _check_batch(batch, net.config.input_dim)
     labs = _check_labels(labels, arr.shape[0], net.config.num_classes)
     _, grads = _loss_and_grads(net, arr, labs, k)
     return grads
@@ -229,11 +233,9 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Momentum buffers plus the loop position, for stepwise drivers."""
+    """Momentum buffers plus the reshuffle stream, for stepwise drivers."""
 
     velocity: list
-    epoch: int = 0
-    k: int | None = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
 
@@ -243,7 +245,6 @@ class EpochLog:
     k: int | None
     lr: float
     loss: float
-    quant_error: float
 
 
 def cosine_lr(epoch: int, train_cfg: TrainConfig) -> float:
@@ -291,11 +292,7 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     one RNG stream initializes parameters, an independent same-seeded stream
     drives the per-epoch reshuffle. The last short batch of an epoch is kept.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError(f"features must be a non-empty [N x dim] matrix, got shape {feats.shape}")
-    if feats.shape[1] != net_cfg.input_dim:
-        raise ValueError(f"features have dim {feats.shape[1]}, config expects {net_cfg.input_dim}")
+    feats = _check_batch(features, net_cfg.input_dim)
     labs = _check_labels(labels, feats.shape[0], net_cfg.num_classes)
 
     net = Network.initialize(net_cfg)
@@ -315,17 +312,9 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
             loss, grads = _loss_and_grads(net, feats[idx], labs[idx], k)
             sgd_momentum_step(net, state, grads, lr, train_cfg.momentum, train_cfg.weight_decay)
             loss_sum += loss * idx.size
-        state.epoch = epoch + 1
-        state.k = k
-        entry = EpochLog(
-            epoch=epoch,
-            k=k,
-            lr=lr,
-            loss=loss_sum / n,
-            quant_error=quantization_error(net, feats, k),
-        )
-        if not (math.isfinite(entry.loss) and math.isfinite(entry.quant_error)):
-            raise FloatingPointError(f"non-finite training metrics at epoch {epoch}: {entry}")
+        entry = EpochLog(epoch=epoch, k=k, lr=lr, loss=loss_sum / n)
+        if not math.isfinite(entry.loss):
+            raise FloatingPointError(f"non-finite training loss at epoch {epoch}: {entry}")
         logs.append(entry)
         if epoch_hook is not None:
             epoch_hook(net, entry)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ternhash.harness import save_config, ExperimentConfig
+from ternhash.harness import experiment, save_config, ExperimentConfig
 from ternhash.harness.cli import main
 
 
@@ -113,6 +113,17 @@ def test_compare_command(tmp_path, capsys):
     assert code == 0 and err == ""
     assert "median continuation mAP" in out
     assert report_path.read_text() == out
+
+
+def test_compare_rejects_eval_k_past_the_retrieval_split_before_training(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: trained.append(args))
+    cfg_path = write_tiny_config(tmp_path / "run.cfg", eval_k=5000)
+    code, out, err = run(capsys, "compare", "--config", str(cfg_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith('error: k must be "all" or an integer in [1, ')
+    assert trained == []
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ternhash.harness import (
     Dataset,
@@ -165,6 +167,27 @@ def test_features_file_errors(tmp_path):
             load_features(tmp_path / name)
     with pytest.raises(ValueError):
         save_features(tmp_path / "e.tfv", np.zeros((0, 3)))
+
+
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_features_file_corruption_loads_exactly_or_raises_value_error(tmp_path, data):
+    path = tmp_path / "valid.tfv"
+    save_features(path, np.random.default_rng(3).normal(size=(4, 5)).astype(np.float32))
+    raw = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        blob = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        blob = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
+    path.write_bytes(blob)
+    try:
+        loaded = load_features(path)
+    except ValueError:
+        return
+    save_features(tmp_path / "resaved.tfv", loaded)
+    assert (tmp_path / "resaved.tfv").read_bytes() == blob
 
 
 def test_labels_file_roundtrip(tmp_path):

@@ -3,7 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ternhash.network as network
 from ternhash import (
     ActivationConfig,
     ContinuationSchedule,
@@ -351,6 +354,42 @@ def test_train_validation():
         train(SMALL, quick_train_cfg(), np.zeros((0, 3)), np.array([], dtype=int))
 
 
+@pytest.mark.parametrize("ternary", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_features_before_stepping(monkeypatch, ternary, bad):
+    feats, labels = small_problem()
+    feats[7, 1] = bad
+    steps = []
+    monkeypatch.setattr(network, "sgd_momentum_step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="finite"):
+        train(SMALL, quick_train_cfg(), feats, labels, ternary=ternary)
+    assert steps == []
+
+
+@pytest.mark.parametrize("ternary", [True, False])
+def test_train_makes_no_full_set_forward_pass(monkeypatch, ternary):
+    def refuse(*args):
+        raise AssertionError("train() must not forward the whole feature set")
+
+    feats, labels = small_problem()
+    _, expected = train(SMALL, quick_train_cfg(), feats, labels, ternary=ternary)
+    monkeypatch.setattr(network, "quantization_error", refuse)
+    monkeypatch.setattr(network, "forward", refuse)
+    _, logs = train(SMALL, quick_train_cfg(), feats, labels, ternary=ternary)
+    assert logs == expected
+
+
+@pytest.mark.parametrize("k", [3, 11, None])
+def test_training_loss_equals_cross_entropy(k):
+    rng = np.random.default_rng(5)
+    net = Network.initialize(SMALL)
+    for size in (1, 7, 48):
+        batch = rng.normal(size=(size, 3))
+        labels = rng.integers(0, 3, size=size)
+        loss, _ = network._loss_and_grads(net, batch, labels, k)
+        assert loss == cross_entropy(forward(net, batch, k)[2], labels)
+
+
 def test_quantization_error_bounds():
     feats, labels = small_problem()
     net, _ = train(SMALL, quick_train_cfg(epochs=2), feats, labels)
@@ -400,3 +439,29 @@ def test_checkpoint_errors(tmp_path):
         (tmp_path / name).write_bytes(blob)
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(tmp_path / name)
+
+
+def valid_tnh(tmp_dir) -> bytes:
+    path = tmp_dir / "valid.tnh"
+    save_checkpoint(path, Network.initialize(SMALL), quick_train_cfg().schedule)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_corruption_loads_exactly_or_raises_value_error(tmp_path, data):
+    raw = valid_tnh(tmp_path)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        blob = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
+    path = tmp_path / "corrupt.tnh"
+    path.write_bytes(blob)
+    try:
+        net, schedule = load_checkpoint(path)
+    except ValueError:
+        return
+    save_checkpoint(tmp_path / "resaved.tnh", net, schedule)
+    assert (tmp_path / "resaved.tnh").read_bytes() == blob
