@@ -51,7 +51,10 @@ class ContinuationSchedule:
 
 
 def _as_finite(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    # float32 stays float32, so a float32 network's activations do too.
+    arr = np.asarray(x)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("input must be finite")
     return arr
@@ -99,10 +102,12 @@ def hard_ternary(x, alpha: float):
     """Three-level quantizer: +1 at x >= alpha, -1 at x <= -alpha, else 0.
 
     Boundaries are inclusive. Scalar input returns an int, arrays return int8.
+    The comparison runs in float64, so float32 input is held against alpha
+    itself, not against alpha rounded to float32.
     """
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
-    arr = _as_finite(x)
+    arr = _as_finite(x).astype(np.float64, copy=False)
     out = np.zeros(arr.shape, dtype=np.int8)
     out[arr >= alpha] = 1
     out[arr <= -alpha] = -1

@@ -5,8 +5,10 @@ squashed onto (-1, 1) by tanh so the ternary activation's premise holds ->
 smoothed ternary activation -> linear classifier. Cross-entropy is applied to
 the classifier output; the sharpness exponent k steps up between epochs.
 
-Everything runs in float64 on the CPU and is bit-deterministic for a fixed
-seed. Checkpoints store parameters as little-endian float32.
+Every computation runs in the dtype of the network's parameters (float32 or
+float64) on the CPU and is bit-deterministic for a fixed seed. Network.initialize
+gives float64 parameters; train() and load_checkpoint give float32, the dtype
+checkpoints store, so a trained net saves and loads without rounding.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ class Network:
                 raise ValueError(f"layer {i} shapes {w.shape}/{b.shape} do not chain {dims[i]}->{dims[i + 1]}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i} has non-finite parameters")
+        dtypes = {p.dtype for p in self.params()}
+        if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+            raise ValueError(f"parameters must share one dtype, float32 or float64, got {sorted(map(str, dtypes))}")
 
     @classmethod
     def initialize(cls, config: NetworkConfig) -> "Network":
@@ -83,6 +88,11 @@ class Network:
             biases.append(np.zeros(fan_out))
         return cls(config=config, weights=weights, biases=biases)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, in which every computation on this net runs."""
+        return self.weights[0].dtype
+
     def params(self) -> list:
         """Live parameter arrays, interleaved W0, b0, W1, b1, ..."""
         out = []
@@ -91,8 +101,11 @@ class Network:
         return out
 
 
-def _check_batch(batch, input_dim: int) -> np.ndarray:
-    arr = np.asarray(batch, dtype=np.float64)
+def _check_batch(batch, input_dim: int, dtype) -> np.ndarray:
+    # Finiteness is checked after the cast: a float64 value past the float32
+    # range becomes inf here and is rejected, not trained on.
+    with np.errstate(over="ignore"):
+        arr = np.asarray(batch, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != input_dim:
         raise ValueError(f"batch must be non-empty [B x {input_dim}], got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -139,7 +152,7 @@ def forward(net: Network, batch, k):
     hash_pre itself when k is None (the plain-feature variant the two-step
     baseline trains).
     """
-    arr = _check_batch(batch, net.config.input_dim)
+    arr = _check_batch(batch, net.config.input_dim, net.dtype)
     _, _, _, hash_pre, hash_act, logits = _forward_cached(net, arr, k)
     return hash_pre, hash_act, logits
 
@@ -199,7 +212,7 @@ def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k):
 
 def backward(net: Network, batch, labels, k) -> list:
     """Exact gradients of cross_entropy(forward(...)) for every parameter, in params() order."""
-    arr = _check_batch(batch, net.config.input_dim)
+    arr = _check_batch(batch, net.config.input_dim, net.dtype)
     labs = _check_labels(labels, arr.shape[0], net.config.num_classes)
     _, grads = _loss_and_grads(net, arr, labs, k)
     return grads
@@ -257,7 +270,8 @@ def cosine_lr(epoch: int, train_cfg: TrainConfig) -> float:
 def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, momentum: float, weight_decay: float):
     """In-place update: v <- momentum*v + (grad + wd*param); param <- param - lr*v.
 
-    Decay hits weights and biases alike.
+    Decay hits weights and biases alike. Every grad and velocity must match
+    its parameter's shape and dtype; on a mismatch nothing is updated.
     """
     params = net.params()
     if len(grads) != len(params) or len(state.velocity) != len(params):
@@ -265,6 +279,9 @@ def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, m
     for p, v, g in zip(params, state.velocity, grads):
         if g.shape != p.shape or v.shape != p.shape:
             raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}")
+        if g.dtype != p.dtype or v.dtype != p.dtype:
+            raise ValueError(f"dtype mismatch: param {p.dtype}, grad {g.dtype}, velocity {v.dtype}")
+    for p, v, g in zip(params, state.velocity, grads):
         v *= momentum
         v += g + weight_decay * p
         p -= lr * v
@@ -291,11 +308,18 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     learn-features-then-threshold baseline). Deterministic for a fixed seed:
     one RNG stream initializes parameters, an independent same-seeded stream
     drives the per-epoch reshuffle. The last short batch of an epoch is kept.
+    Training computes in float32: the initial parameters and the features are
+    cast once, and the returned network is float32, as checkpoints store it.
     """
-    feats = _check_batch(features, net_cfg.input_dim)
+    feats = _check_batch(features, net_cfg.input_dim, np.float32)
     labs = _check_labels(labels, feats.shape[0], net_cfg.num_classes)
 
-    net = Network.initialize(net_cfg)
+    init = Network.initialize(net_cfg)
+    net = Network(
+        config=net_cfg,
+        weights=[w.astype(np.float32) for w in init.weights],
+        biases=[b.astype(np.float32) for b in init.biases],
+    )
     state = TrainState(
         velocity=[np.zeros_like(p) for p in net.params()],
         rng=np.random.default_rng(net_cfg.seed),
@@ -341,7 +365,7 @@ def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (Network, ContinuationSchedule)."""
+    """Inverse of save_checkpoint; returns (Network, ContinuationSchedule) with float32 parameters."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CHECKPOINT_MAGIC:
@@ -364,8 +388,8 @@ def load_checkpoint(path):
         for fan_in, fan_out in zip(dims, dims[1:]):
             w_raw = read_exact(fh, 4 * fan_in * fan_out, "parameter payload")
             b_raw = read_exact(fh, 4 * fan_out, "parameter payload")
-            weights.append(np.frombuffer(w_raw, dtype="<f4").astype(np.float64).reshape(fan_in, fan_out))
-            biases.append(np.frombuffer(b_raw, dtype="<f4").astype(np.float64))
+            weights.append(np.frombuffer(w_raw, dtype="<f4").astype(np.float32).reshape(fan_in, fan_out))
+            biases.append(np.frombuffer(b_raw, dtype="<f4").astype(np.float32))
         if fh.read(1):
             raise ValueError("trailing bytes after parameter payload")
     return Network(config=cfg, weights=weights, biases=biases), schedule

@@ -123,6 +123,27 @@ def test_hard_ternary_boundaries():
         hard_ternary(0.3, math.nan)
 
 
+def test_hard_ternary_holds_float32_input_against_alpha_itself():
+    # float32(0.7) is 0.69999999, below 0.7; comparing in float32 would round
+    # alpha to the same value and put x on the boundary.
+    x = np.float32(0.7)
+    assert hard_ternary(x, 0.7) == 0
+    assert hard_ternary(-x, 0.7) == 0
+    assert hard_ternary(np.array([x, -x, np.float32(0.75)]), 0.7).tolist() == [0, 0, 1]
+
+
+def test_activation_computes_in_float32_for_float32_input():
+    cfg = ActivationConfig(0.5, 7)
+    x32 = np.linspace(-1.0, 1.0, 41, dtype=np.float32)
+    for fn in (smooth_ternary, smooth_ternary_grad):
+        out32 = fn(x32, cfg)
+        assert out32.dtype == np.float32
+        out64 = fn(x32.astype(np.float64), cfg)
+        assert out64.dtype == np.float64
+        assert out32 == pytest.approx(out64, rel=1e-4, abs=1e-6)
+        assert fn(np.arange(-2, 3), cfg).dtype == np.float64
+
+
 def test_schedule_defaults():
     sched = ContinuationSchedule()
     assert schedule_k(0, sched) == 3

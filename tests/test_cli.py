@@ -218,3 +218,50 @@ def test_truncated_header_is_one_line_error(tmp_path, capsys, kind):
     assert out == ""
     assert err.startswith("error: truncated")
     assert len(err.strip().splitlines()) == 1
+
+
+def rows_around_a_threshold(net, feats):
+    """Float32 rows a few ulps from a point where one hash unit crosses +alpha.
+
+    Many of their hash values lie within float32 rounding of alpha, so a net
+    whose parameters differ in the last float32 bit codes some of them
+    differently.
+    """
+    from ternhash import hash_features
+
+    alpha = net.config.activation.alpha
+    above = hash_features(net, feats) >= alpha
+    unit = int(np.flatnonzero(above.any(axis=0) & ~above.all(axis=0))[0])
+    a = feats[np.flatnonzero(~above[:, unit])[0]].astype(np.float64)
+    b = feats[np.flatnonzero(above[:, unit])[0]].astype(np.float64)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if hash_features(net, (a + mid * (b - a))[None])[0, unit] >= alpha:
+            hi = mid
+        else:
+            lo = mid
+    x = (a + hi * (b - a)).astype(np.float32)
+    steps = np.random.default_rng(0).integers(-20, 21, size=(4000, x.size))
+    return (x + steps * np.spacing(x)).astype(np.float32)
+
+
+def test_train_then_encode_matches_the_in_memory_network(tmp_path, capsys):
+    from ternhash import train
+    from ternhash.codes import save_codes
+    from ternhash.harness import load_config, load_features, save_features, seed_setup, single_labels
+
+    cfg_path = write_tiny_config(tmp_path / "run.cfg")
+    ckpt = tmp_path / "m.tnh"
+    assert run(capsys, "train", "--config", str(cfg_path), "--out", str(ckpt))[0] == 0
+
+    cfg = load_config(cfg_path)
+    dataset, net_cfg, train_cfg = seed_setup(cfg, cfg.seeds[0])
+    feats, label_sets = dataset.subset(dataset.train_ids)
+    net, _ = train(net_cfg, train_cfg, feats, single_labels(label_sets))
+
+    rows = tmp_path / "rows.tfv"
+    save_features(rows, np.concatenate([dataset.features, rows_around_a_threshold(net, dataset.features)]))
+    assert run(capsys, "encode", "--checkpoint", str(ckpt), "--features", str(rows), "--out", str(tmp_path / "cli.tnc"))[0] == 0
+    save_codes(tmp_path / "mem.tnc", experiment.encode_dataset(net, load_features(rows)))
+    assert (tmp_path / "cli.tnc").read_bytes() == (tmp_path / "mem.tnc").read_bytes()

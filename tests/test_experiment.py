@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from ternhash import ContinuationSchedule, Network, NetworkConfig
+from ternhash import (
+    ContinuationSchedule,
+    Network,
+    NetworkConfig,
+    hash_features,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from ternhash.harness import (
     ExperimentConfig,
     encode_dataset,
@@ -9,6 +17,8 @@ from ternhash.harness import (
     gen_synthetic,
     run_experiment,
     run_seed,
+    seed_setup,
+    single_labels,
     two_step_baseline,
 )
 from ternhash.harness.experiment import _stage_end_epochs
@@ -146,3 +156,16 @@ def test_file_mode_uses_saved_splits(tmp_path):
     r2 = run_seed(cfg, 2)
     # the dataset is fixed, so only the network seed differs between runs
     assert r1.continuation_map != r2.continuation_map or r1.two_step_map != r2.two_step_map
+
+
+def test_checkpoint_of_a_trained_net_encodes_like_the_net(tmp_path):
+    dataset, net_cfg, train_cfg = seed_setup(tiny_config(), 1)
+    feats, label_sets = dataset.subset(dataset.train_ids)
+    net, _ = train(net_cfg, train_cfg, feats, single_labels(label_sets))
+    save_checkpoint(tmp_path / "m.tnh", net, train_cfg.schedule)
+    loaded, _ = load_checkpoint(tmp_path / "m.tnh")
+    for p, q in zip(net.params(), loaded.params()):
+        assert q.dtype == p.dtype
+        assert q.tobytes() == p.tobytes()
+    assert hash_features(loaded, dataset.features).tobytes() == hash_features(net, dataset.features).tobytes()
+    assert encode_dataset(loaded, dataset.features) == encode_dataset(net, dataset.features)

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,27 @@ def test_network_validation():
     nan_w[0][0, 0] = np.nan
     with pytest.raises(ValueError):
         Network(config=SMALL, weights=nan_w, biases=biases)
+
+
+def with_dtypes(net, weight_dtype, bias_dtype):
+    return Network(
+        config=net.config,
+        weights=[w.astype(weight_dtype) for w in net.weights],
+        biases=[b.astype(bias_dtype) for b in net.biases],
+    )
+
+
+def test_network_parameters_share_one_float_dtype():
+    net = Network.initialize(SMALL)
+    assert net.dtype == np.float64
+    assert with_dtypes(net, np.float32, np.float32).dtype == np.float32
+    for weight_dtype, bias_dtype in ((np.float32, np.float64), (np.float16, np.float16), (np.int64, np.int64)):
+        with pytest.raises(ValueError, match="dtype"):
+            with_dtypes(net, weight_dtype, bias_dtype)
+    one_layer_f32 = [w.copy() for w in net.weights]
+    one_layer_f32[1] = one_layer_f32[1].astype(np.float32)
+    with pytest.raises(ValueError, match="dtype"):
+        Network(config=SMALL, weights=one_layer_f32, biases=net.biases)
 
 
 def test_forward_zero_network():
@@ -282,6 +304,22 @@ def test_sgd_validation():
         sgd_momentum_step(net, state, bad, 0.1, 0.0, 0.0)
 
 
+def test_sgd_rejects_a_dtype_mismatch_before_updating():
+    net = with_dtypes(Network.initialize(SMALL), np.float32, np.float32)
+    before = [p.copy() for p in net.params()]
+
+    def zeros():
+        return [np.zeros_like(p) for p in net.params()]
+
+    late_f64_grad = zeros()[:-1] + [np.ones(net.params()[-1].shape)]
+    f64_velocity = [v.astype(np.float64) for v in zeros()]
+    for grads, velocity in ((late_f64_grad, zeros()), (zeros(), f64_velocity)):
+        with pytest.raises(ValueError, match="dtype"):
+            sgd_momentum_step(net, TrainState(velocity=velocity), grads, 0.1, 0.9, 1e-4)
+        for p, b in zip(net.params(), before):
+            assert np.array_equal(p, b)
+
+
 def small_problem():
     rng = np.random.default_rng(29)
     feats = rng.normal(size=(48, 3)).astype(np.float64)
@@ -307,7 +345,7 @@ def test_train_zero_lr_is_identity():
     net, logs = train(SMALL, quick_train_cfg(lr0=0.0, epochs=1), feats, labels)
     init = Network.initialize(SMALL)
     for p, q in zip(net.params(), init.params()):
-        assert np.array_equal(p, q)
+        assert np.array_equal(p, q.astype(np.float32))
     assert len(logs) == 1
 
 
@@ -364,6 +402,33 @@ def test_train_rejects_non_finite_features_before_stepping(monkeypatch, ternary,
     with pytest.raises(ValueError, match="finite"):
         train(SMALL, quick_train_cfg(), feats, labels, ternary=ternary)
     assert steps == []
+
+
+@pytest.mark.parametrize("ternary", [True, False])
+def test_train_rejects_features_past_the_float32_range(monkeypatch, ternary):
+    feats, labels = small_problem()
+    feats[7, 1] = 1e39  # finite in float64, inf once cast to float32
+    steps = []
+    monkeypatch.setattr(network, "sgd_momentum_step", lambda *args: steps.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            train(SMALL, quick_train_cfg(), feats, labels, ternary=ternary)
+    assert steps == []
+
+
+@pytest.mark.parametrize("k", [3, None])
+def test_float32_net_computes_in_float32(k):
+    feats, labels = small_problem()
+    net, _ = train(SMALL, quick_train_cfg(epochs=1), feats, labels, ternary=k is not None)
+    assert [p.dtype for p in net.params()] == [np.float32] * len(net.params())
+    loss, grads = network._loss_and_grads(net, feats.astype(np.float32), labels, k)
+    assert type(loss) is float
+    assert [g.dtype for g in grads] == [np.float32] * len(grads)
+    assert [a.dtype for a in forward(net, feats, k)] == [np.float32] * 3
+    # a float64 net keeps float64, whatever the batch's dtype
+    fresh = Network.initialize(SMALL)
+    assert [a.dtype for a in forward(fresh, feats.astype(np.float32), k)] == [np.float64] * 3
 
 
 @pytest.mark.parametrize("ternary", [True, False])
