@@ -57,48 +57,59 @@ class NetworkConfig:
 
 @dataclass
 class Network:
-    """Dense layers as parallel weight/bias lists; the last two are hash layer and classifier."""
+    """All parameters in one 1-D float32 or float64 vector; weights and biases are views of it."""
 
     config: NetworkConfig
-    weights: list
-    biases: list
+    flat: np.ndarray
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.config.layer_dims
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError(f"expected {len(dims) - 1} layers, got {len(self.weights)} weights")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                raise ValueError(f"layer {i} shapes {w.shape}/{b.shape} do not chain {dims[i]}->{dims[i + 1]}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} has non-finite parameters")
-        dtypes = {p.dtype for p in self.params()}
-        if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
-            raise ValueError(f"parameters must share one dtype, float32 or float64, got {sorted(map(str, dtypes))}")
+        dtype = getattr(self.flat, "dtype", None)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"parameters must be one float32 or float64 array, got dtype {dtype}")
+        if self.flat.shape != (_num_params(dims),):
+            raise ValueError(f"layers {dims} take {_num_params(dims)} parameters, got shape {self.flat.shape}")
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("parameters must be finite")
+        self.weights, self.biases = _layer_views(dims, self.flat)
 
     @classmethod
     def initialize(cls, config: NetworkConfig) -> "Network":
         """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, seeded."""
         rng = np.random.default_rng(config.seed)
-        dims = config.layer_dims
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            lim = math.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(config=config, weights=weights, biases=biases)
+        net = cls(config=config, flat=np.zeros(_num_params(config.layer_dims)))
+        for w in net.weights:
+            lim = math.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-lim, lim, size=w.shape)
+        return net
 
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype, in which every computation on this net runs."""
-        return self.weights[0].dtype
+        return self.flat.dtype
 
     def params(self) -> list:
-        """Live parameter arrays, interleaved W0, b0, W1, b1, ..."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """The live parameter vector, as the one-element list SGD and backward use."""
+        return [self.flat]
+
+
+def _num_params(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+
+def _layer_views(dims, flat: np.ndarray):
+    """Per-layer (weights, biases) views of flat, laid out W0, b0, W1, b1, ... row-major.
+
+    The only code that knows the layout; it is also the .tnh payload order.
+    """
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        biases.append(flat[at + fan_in * fan_out : at + (fan_in + 1) * fan_out])
+        at += (fan_in + 1) * fan_out
+    return weights, biases
 
 
 def _check_batch(batch, input_dim: int, dtype) -> np.ndarray:
@@ -166,8 +177,10 @@ def _log_softmax(logits: np.ndarray):
 
 
 def cross_entropy(logits, labels) -> float:
-    """Mean over the batch of -log softmax(logits)[label], max-subtracted."""
-    logits = np.asarray(logits, dtype=np.float64)
+    """Mean over the batch of -log softmax(logits)[label], max-subtracted; float32 stays float32."""
+    logits = np.asarray(logits)
+    if logits.dtype != np.float32:
+        logits = logits.astype(np.float64)
     if logits.ndim != 2 or logits.shape[0] == 0:
         raise ValueError(f"logits must be non-empty [B x C], got shape {logits.shape}")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
@@ -187,9 +200,10 @@ def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k):
     dlogits[np.arange(b_size), labels] -= 1.0
     dlogits /= b_size
 
-    grads = [None] * (2 * (n_hidden + 2))
-    grads[2 * (n_hidden + 1)] = hash_act.T @ dlogits
-    grads[2 * (n_hidden + 1) + 1] = dlogits.sum(axis=0)
+    grad = np.empty_like(net.flat)
+    grad_w, grad_b = _layer_views(net.config.layer_dims, grad)
+    np.matmul(hash_act.T, dlogits, out=grad_w[n_hidden + 1])
+    dlogits.sum(axis=0, out=grad_b[n_hidden + 1])
 
     d_act = dlogits @ net.weights[n_hidden + 1].T
     if k is None:
@@ -197,21 +211,21 @@ def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k):
     else:
         d_pre = d_act * smooth_ternary_grad(hash_pre, ActivationConfig(net.config.activation.alpha, k))
     d_s = d_pre * (1.0 - hash_pre**2)
-    grads[2 * n_hidden] = h_last.T @ d_s
-    grads[2 * n_hidden + 1] = d_s.sum(axis=0)
+    np.matmul(h_last.T, d_s, out=grad_w[n_hidden])
+    d_s.sum(axis=0, out=grad_b[n_hidden])
 
     d_h = d_s @ net.weights[n_hidden].T
     for i in reversed(range(n_hidden)):
         d_z = d_h * (pre_relu[i] > 0.0)
-        grads[2 * i] = hidden_in[i].T @ d_z
-        grads[2 * i + 1] = d_z.sum(axis=0)
+        np.matmul(hidden_in[i].T, d_z, out=grad_w[i])
+        d_z.sum(axis=0, out=grad_b[i])
         if i:
             d_h = d_z @ net.weights[i].T
-    return loss, grads
+    return loss, [grad]
 
 
 def backward(net: Network, batch, labels, k) -> list:
-    """Exact gradients of cross_entropy(forward(...)) for every parameter, in params() order."""
+    """Exact gradient of cross_entropy(forward(...)) as one vector in flat's layout, listed like params()."""
     arr = _check_batch(batch, net.config.input_dim, net.dtype)
     labs = _check_labels(labels, arr.shape[0], net.config.num_classes)
     _, grads = _loss_and_grads(net, arr, labs, k)
@@ -314,16 +328,8 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     feats = _check_batch(features, net_cfg.input_dim, np.float32)
     labs = _check_labels(labels, feats.shape[0], net_cfg.num_classes)
 
-    init = Network.initialize(net_cfg)
-    net = Network(
-        config=net_cfg,
-        weights=[w.astype(np.float32) for w in init.weights],
-        biases=[b.astype(np.float32) for b in init.biases],
-    )
-    state = TrainState(
-        velocity=[np.zeros_like(p) for p in net.params()],
-        rng=np.random.default_rng(net_cfg.seed),
-    )
+    net = Network(config=net_cfg, flat=Network.initialize(net_cfg).flat.astype(np.float32))
+    state = TrainState(velocity=[np.zeros_like(net.flat)], rng=np.random.default_rng(net_cfg.seed))
     n = feats.shape[0]
     logs = []
     for epoch in range(train_cfg.epochs):
@@ -346,7 +352,7 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
 
 
 def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
-    """Write magic 'TNH1', the config block, then float32 little-endian parameters.
+    """Write magic 'TNH1', the config block, then the flat parameters as float32 little-endian.
 
     Config block: u32 input_dim, u32 hidden-layer count, u32 per hidden dim,
     u32 code_dim, u32 num_classes, u64 seed, f64 alpha, u32 activation k,
@@ -360,8 +366,7 @@ def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
         fh.write(struct.pack("<IIQ", cfg.code_dim, cfg.num_classes, cfg.seed))
         fh.write(struct.pack("<dIIIII", cfg.activation.alpha, cfg.activation.k,
                              schedule.k_start, schedule.k_end, schedule.stride_epochs, schedule.total_epochs))
-        for p in net.params():
-            fh.write(p.astype("<f4").tobytes())
+        fh.write(net.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
@@ -383,13 +388,7 @@ def load_checkpoint(path):
             seed=seed,
         )
         schedule = ContinuationSchedule(k_start=k_start, k_end=k_end, stride_epochs=stride, total_epochs=total)
-        dims = cfg.layer_dims
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            w_raw = read_exact(fh, 4 * fan_in * fan_out, "parameter payload")
-            b_raw = read_exact(fh, 4 * fan_out, "parameter payload")
-            weights.append(np.frombuffer(w_raw, dtype="<f4").astype(np.float32).reshape(fan_in, fan_out))
-            biases.append(np.frombuffer(b_raw, dtype="<f4").astype(np.float32))
+        raw = read_exact(fh, 4 * _num_params(cfg.layer_dims), "parameter payload")
         if fh.read(1):
             raise ValueError("trailing bytes after parameter payload")
-    return Network(config=cfg, weights=weights, biases=biases), schedule
+    return Network(config=cfg, flat=np.frombuffer(raw, dtype="<f4").astype(np.float32)), schedule

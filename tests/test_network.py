@@ -30,13 +30,14 @@ from ternhash import (
 SMALL = NetworkConfig(input_dim=3, hidden_dims=(5,), code_dim=4, num_classes=3, seed=11)
 
 
+def from_layers(cfg, weights, biases):
+    """A Network whose flat vector is W0, b0, W1, b1, ... concatenated."""
+    return Network(config=cfg, flat=np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)]))
+
+
 def zero_network(cfg):
     dims = cfg.layer_dims
-    return Network(
-        config=cfg,
-        weights=[np.zeros((a, b)) for a, b in zip(dims, dims[1:])],
-        biases=[np.zeros(b) for b in dims[1:]],
-    )
+    return from_layers(cfg, [np.zeros((a, b)) for a, b in zip(dims, dims[1:])], [np.zeros(b) for b in dims[1:]])
 
 
 def test_config_validation():
@@ -70,40 +71,29 @@ def test_initialize_shapes_and_determinism():
 
 
 def test_network_validation():
-    dims = SMALL.layer_dims
-    weights = [np.zeros((a, b)) for a, b in zip(dims, dims[1:])]
-    biases = [np.zeros(b) for b in dims[1:]]
-    with pytest.raises(ValueError):
-        Network(config=SMALL, weights=weights[:-1], biases=biases[:-1])
-    bad_w = [w.copy() for w in weights]
-    bad_w[1] = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        Network(config=SMALL, weights=bad_w, biases=biases)
-    nan_w = [w.copy() for w in weights]
-    nan_w[0][0, 0] = np.nan
-    with pytest.raises(ValueError):
-        Network(config=SMALL, weights=nan_w, biases=biases)
+    flat = zero_network(SMALL).flat
+    Network(config=SMALL, flat=flat)
+    for bad in (flat[:-1], np.zeros(flat.size + 1), flat.reshape(1, -1)):
+        with pytest.raises(ValueError, match="parameters"):
+            Network(config=SMALL, flat=bad)
+    nan = flat.copy()
+    nan[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Network(config=SMALL, flat=nan)
 
 
-def with_dtypes(net, weight_dtype, bias_dtype):
-    return Network(
-        config=net.config,
-        weights=[w.astype(weight_dtype) for w in net.weights],
-        biases=[b.astype(bias_dtype) for b in net.biases],
-    )
+def with_dtype(net, dtype):
+    return Network(config=net.config, flat=net.flat.astype(dtype))
 
 
 def test_network_parameters_share_one_float_dtype():
+    # one flat vector holds one dtype, so a net mixing float32 and float64 layers cannot be built
     net = Network.initialize(SMALL)
     assert net.dtype == np.float64
-    assert with_dtypes(net, np.float32, np.float32).dtype == np.float32
-    for weight_dtype, bias_dtype in ((np.float32, np.float64), (np.float16, np.float16), (np.int64, np.int64)):
+    assert with_dtype(net, np.float32).dtype == np.float32
+    for dtype in (np.float16, np.int64):
         with pytest.raises(ValueError, match="dtype"):
-            with_dtypes(net, weight_dtype, bias_dtype)
-    one_layer_f32 = [w.copy() for w in net.weights]
-    one_layer_f32[1] = one_layer_f32[1].astype(np.float32)
-    with pytest.raises(ValueError, match="dtype"):
-        Network(config=SMALL, weights=one_layer_f32, biases=net.biases)
+            with_dtype(net, dtype)
 
 
 def test_forward_zero_network():
@@ -117,11 +107,7 @@ def test_forward_zero_network():
 def test_forward_hand_chain():
     # one input, no hidden layers: s = 2x + 0.5, then tanh, ternary, linear
     cfg = NetworkConfig(input_dim=1, hidden_dims=(), code_dim=1, num_classes=2)
-    net = Network(
-        config=cfg,
-        weights=[np.array([[2.0]]), np.array([[1.0, -1.0]])],
-        biases=[np.array([0.5]), np.array([0.25, -0.25])],
-    )
+    net = from_layers(cfg, [np.array([[2.0]]), np.array([[1.0, -1.0]])], [np.array([0.5]), np.array([0.25, -0.25])])
     hash_pre, hash_act, logits = forward(net, [[0.3]], 3)
     p = math.tanh(2.0 * 0.3 + 0.5)
     f = math.tanh((p / 0.5) ** 3)
@@ -223,16 +209,18 @@ def test_backward_classifier_bias_is_mean_residual():
     softmax = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     onehot = np.zeros_like(softmax)
     onehot[np.arange(5), labels] = 1.0
-    grads = backward(net, batch, labels, 3)
-    assert grads[-1] == pytest.approx((softmax - onehot).mean(axis=0), rel=1e-12)
+    (grad,) = backward(net, batch, labels, 3)
+    _, grad_biases = network._layer_views(SMALL.layer_dims, grad)
+    assert grad_biases[-1] == pytest.approx((softmax - onehot).mean(axis=0), rel=1e-12)
 
 
 def test_backward_zero_network_only_moves_classifier_bias():
     net = zero_network(SMALL)
-    grads = backward(net, np.ones((4, 3)), np.array([0, 1, 2, 0]), 3)
-    for g in grads[:-1]:
+    (grad,) = backward(net, np.ones((4, 3)), np.array([0, 1, 2, 0]), 3)
+    grad_weights, grad_biases = network._layer_views(SMALL.layer_dims, grad)
+    for g in grad_weights + grad_biases[:-1]:
         assert np.all(g == 0.0)
-    assert np.any(grads[-1] != 0.0)
+    assert np.any(grad_biases[-1] != 0.0)
 
 
 def test_train_config_validation():
@@ -305,7 +293,7 @@ def test_sgd_validation():
 
 
 def test_sgd_rejects_a_dtype_mismatch_before_updating():
-    net = with_dtypes(Network.initialize(SMALL), np.float32, np.float32)
+    net = with_dtype(Network.initialize(SMALL), np.float32)
     before = [p.copy() for p in net.params()]
 
     def zeros():
@@ -446,13 +434,29 @@ def test_train_makes_no_full_set_forward_pass(monkeypatch, ternary):
 
 @pytest.mark.parametrize("k", [3, 11, None])
 def test_training_loss_equals_cross_entropy(k):
-    rng = np.random.default_rng(5)
-    net = Network.initialize(SMALL)
-    for size in (1, 7, 48):
-        batch = rng.normal(size=(size, 3))
-        labels = rng.integers(0, 3, size=size)
-        loss, _ = network._loss_and_grads(net, batch, labels, k)
-        assert loss == cross_entropy(forward(net, batch, k)[2], labels)
+    # on a float64 Network.initialize net and on a float32 net as train() returns it
+    feats, labels = small_problem()
+    for net in (Network.initialize(SMALL), train(SMALL, quick_train_cfg(epochs=1), feats, labels)[0]):
+        rng = np.random.default_rng(5)
+        for size in (1, 7, 48):
+            batch = rng.normal(size=(size, 3)).astype(net.dtype)
+            batch_labels = rng.integers(0, 3, size=size)
+            loss, _ = network._loss_and_grads(net, batch, batch_labels, k)
+            assert loss == cross_entropy(forward(net, batch, k)[2], batch_labels)
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_benchmark_isolated_step_sequence(trained):
+    # the call sequence benchmarks/workloads.py times in isolation, on both kinds of net it can meet
+    feats, labels = small_problem()
+    net = train(SMALL, quick_train_cfg(epochs=1), feats, labels)[0] if trained else Network.initialize(SMALL)
+    grads = backward(net, feats[:16], labels[:16], 7)
+    state = TrainState(velocity=[np.zeros_like(p) for p in net.params()])
+    w0 = net.weights[0]
+    before = w0.copy()
+    sgd_momentum_step(net, state, grads, 1e-3, 0.9, 1e-4)
+    assert net.weights[0] is w0 and np.shares_memory(w0, net.flat)
+    assert not np.array_equal(w0, before)
 
 
 def test_quantization_error_bounds():
@@ -479,6 +483,22 @@ def test_checkpoint_roundtrip(tmp_path):
     path2 = tmp_path / "model2.tnh"
     save_checkpoint(path2, loaded, loaded_sched)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_payload_is_the_flat_vector_in_layer_order(tmp_path):
+    feats, labels = small_problem()
+    for net in (Network.initialize(SMALL), train(SMALL, quick_train_cfg(epochs=1), feats, labels)[0]):
+        for view in net.weights + net.biases:
+            assert np.shares_memory(view, net.flat)
+        path = tmp_path / "model.tnh"
+        save_checkpoint(path, net, quick_train_cfg().schedule)
+        raw = path.read_bytes()
+        header = 4 + 8 + 4 * len(SMALL.hidden_dims) + 16 + 28
+        layers = b"".join(a.astype("<f4").tobytes() for w, b in zip(net.weights, net.biases) for a in (w, b))
+        assert raw[header:] == layers
+        path.write_bytes(raw[:-4])
+        with pytest.raises(ValueError, match="truncated parameter payload"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_errors(tmp_path):
