@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._fileio import read_exact
+from ..retrieval import LabelSets
 
 _FEATURES_MAGIC = b"TFV1"
 
@@ -175,21 +176,38 @@ def save_labels(path, labels) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_labels(path) -> list:
-    """Inverse of save_labels; returns a list of frozensets."""
-    out = []
+def load_labels(path) -> LabelSets:
+    """Inverse of save_labels; returns one LabelSets row per line.
+
+    The whole file goes through one int() pass. A line may hold its labels in
+    any order and repeat them, with whitespace around each; it may not be blank.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                raise ValueError(f"{path}:{lineno}: empty label line")
-            try:
-                out.append(frozenset(int(tok) for tok in line.split(",")))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: labels must be comma-separated integers") from None
-    if not out:
+        text = fh.read()
+    if not text:
         raise ValueError(f"{path}: no labels")
-    return out
+    # int() strips whitespace too, but not \x1c-\x1f, which str.strip() removes
+    lines = [line.strip() for line in text.removesuffix("\n").split("\n")]
+    try:
+        ids = np.fromiter(map(int, ",".join(lines).split(",")), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise _line_error(path, lines) from None
+    counts = np.fromiter((line.count(",") + 1 for line in lines), dtype=np.int64, count=len(lines))
+    return LabelSets(indptr=np.concatenate(([0], np.cumsum(counts))), ids=ids)
+
+
+def _line_error(path, lines) -> ValueError:
+    """The error for the first line load_labels cannot take, naming it."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            return ValueError(f"{path}:{lineno}: empty label line")
+        try:
+            row = [int(tok) for tok in line.split(",")]
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: labels must be comma-separated integers")
+        if not all(-(2**63) <= label < 2**63 for label in row):
+            return ValueError(f"{path}:{lineno}: labels must fit in a signed 64-bit integer")
+    return ValueError(f"{path}: labels must be comma-separated integers")
 
 
 def save_splits(prefix, dataset: Dataset) -> list:
@@ -217,7 +235,7 @@ def load_splits(prefix) -> Dataset:
     parts = {}
     for name in ("train", "retrieval", "query"):
         feats = load_features(f"{prefix}.{name}.tfv")
-        labels = load_labels(f"{prefix}.{name}.labels")
+        labels = list(load_labels(f"{prefix}.{name}.labels"))
         if feats.shape[0] != len(labels):
             raise ValueError(f"{prefix}.{name}: {feats.shape[0]} feature rows vs {len(labels)} label lines")
         parts[name] = (feats, labels)

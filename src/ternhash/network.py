@@ -30,6 +30,10 @@ from .activation import (
 )
 
 _CHECKPOINT_MAGIC = b"TNH1"
+# Rows per block of the inference forward. Blocks are near-equal, R to 2R-1
+# rows each, because a tiny block takes BLAS's matrix-vector path, whose
+# rounding differs from the matrix-matrix one.
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -304,14 +308,38 @@ def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, m
 
 def quantization_error(net: Network, features, k) -> float:
     """Mean |activation - hard quantization| of the hash layer over a feature set."""
-    hash_pre, hash_act, _ = forward(net, features, k)
-    return float(np.abs(hash_act - hard_ternary(hash_pre, net.config.activation.alpha)).mean())
+    alpha = net.config.activation.alpha
+    hash_pre = hash_features(net, features)
+    hash_act = hash_pre if k is None else smooth_ternary(hash_pre, ActivationConfig(alpha, k))
+    return float(np.abs(hash_act - hard_ternary(hash_pre, alpha)).mean())
+
+
+def _row_blocks(n: int):
+    """[start, stop) bounds of n // _ROW_BLOCK near-equal blocks; fewer than 2R rows make one block."""
+    count = max(1, n // _ROW_BLOCK)
+    bounds = [n * i // count for i in range(count + 1)]
+    return zip(bounds, bounds[1:])
 
 
 def hash_features(net: Network, features) -> np.ndarray:
-    """Squashed hash-layer outputs in (-1, 1), the values the quantizer thresholds."""
-    hash_pre, _, _ = forward(net, features, None)
-    return hash_pre
+    """Squashed hash-layer outputs in (-1, 1), the values the quantizer thresholds.
+
+    An inference-only forward: block by block, with no per-layer caches and
+    no classifier; bit-equal to forward(net, features, None)[0].
+    """
+    arr = _check_batch(features, net.config.input_dim, net.dtype)
+    n_hidden = len(net.config.hidden_dims)
+    out = np.empty((arr.shape[0], net.config.code_dim), dtype=net.dtype)
+    for start, stop in _row_blocks(arr.shape[0]):
+        h = arr[start:stop]
+        for i in range(n_hidden):
+            h = h @ net.weights[i]
+            h += net.biases[i]
+            np.maximum(h, 0, out=h)
+        z = h @ net.weights[n_hidden]
+        z += net.biases[n_hidden]
+        np.tanh(z, out=out[start:stop])
+    return out
 
 
 def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, ternary: bool = True, epoch_hook=None):

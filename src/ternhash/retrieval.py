@@ -2,10 +2,15 @@
 
 Ranking is by ascending encoded-Hamming distance with ties broken by ascending
 item id. An item is relevant to a query when their label sets intersect.
+
+A list of label sets is one LabelSets: CSR (indptr, ids) int64 arrays.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,33 +18,117 @@ import numpy as np
 from .codes import CodeMatrix, PackedCode
 
 
+def _int64_vector(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and not np.can_cast(arr.dtype, np.int64)):
+        raise ValueError(f"{name} must be a 1-d integer array, got dtype {arr.dtype} and shape {arr.shape}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelSets(Sequence):
+    """n integer label sets in CSR form: row i is ids[indptr[i]:indptr[i + 1]].
+
+    Construction sorts each row and drops its repeats, so rows are ascending
+    and distinct. A read-only sequence of frozenset: an int index gives one
+    set, a slice gives a LabelSets, and it equals any sequence of sets with
+    the same rows.
+    """
+
+    indptr: np.ndarray
+    ids: np.ndarray
+
+    def __post_init__(self):
+        indptr, ids = _int64_vector(self.indptr, "indptr"), _int64_vector(self.ids, "ids")
+        counts = np.diff(indptr)
+        if not indptr.size or indptr[0] != 0 or indptr[-1] != ids.size or np.any(counts < 0):
+            raise ValueError(f"indptr must rise from 0 to {ids.size}")
+        rows = np.repeat(np.arange(counts.size), counts)
+        same_row = rows[1:] == rows[:-1]
+        if np.any(same_row & (ids[1:] <= ids[:-1])):
+            ids = ids[np.lexsort((ids, rows))]
+            keep = np.ones(ids.size, dtype=bool)
+            keep[1:] = ~same_row | (ids[1:] != ids[:-1])
+            ids = ids[keep]
+            indptr = np.zeros_like(indptr)
+            np.cumsum(np.bincount(rows[keep], minlength=counts.size), out=indptr[1:])
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "ids", ids)
+
+    @classmethod
+    def of(cls, labels) -> LabelSets:
+        """The label sets in CSR form; a LabelSets is returned as is.
+
+        Every label must be an int or numpy integer.
+        """
+        if isinstance(labels, LabelSets):
+            return labels
+        rows = [frozenset(ls) for ls in labels]
+        flat = list(itertools.chain.from_iterable(rows))
+        if not all(issubclass(t, (int, np.integer)) for t in set(map(type, flat))):
+            raise ValueError("labels must be integers")
+        try:
+            ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
+        except OverflowError:
+            raise ValueError("labels must fit in a signed 64-bit integer") from None
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        return cls(indptr=np.concatenate(([0], np.cumsum(counts))), ids=ids)
+
+    def __len__(self):
+        return self.indptr.size - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            starts, counts = self.indptr[:-1][i], np.diff(self.indptr)[i]
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+            return LabelSets(indptr=indptr, ids=self.ids[take])
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"label set index {i} out of range for {len(self)} rows")
+        i %= len(self)
+        return frozenset(self.ids[self.indptr[i] : self.indptr[i + 1]].tolist())
+
+    def __iter__(self):
+        ids, bounds = self.ids.tolist(), self.indptr.tolist()
+        return (frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelSets):
+            if not isinstance(other, Sequence) or not all(isinstance(ls, (set, frozenset)) for ls in other):
+                return NotImplemented
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.ids, other.ids)
+
+
 @dataclass(frozen=True)
 class RetrievalIndex:
     """Immutable database of packed codes plus per-item label sets.
 
     codes may be a CodeMatrix or a sequence of PackedCode; it is held as a
-    CodeMatrix. Label postings (label -> ascending item ids) are built once.
+    CodeMatrix. labels may be a LabelSets or a sequence of integer label
+    sets; it is held as a LabelSets. Label postings (every (label, item)
+    pair, ordered by label, then item) are built once.
     """
 
     codes: CodeMatrix
-    labels: list[frozenset]
-    _postings: dict = field(init=False, repr=False, compare=False)
+    labels: LabelSets
+    _postings: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not len(self.codes):
             raise ValueError("index must hold at least one code")
         if len(self.codes) != len(self.labels):
             raise ValueError(f"{len(self.codes)} codes vs {len(self.labels)} label sets")
-        labels = [frozenset(ls) for ls in self.labels]
-        if any(not ls for ls in labels):
+        labels = LabelSets.of(self.labels)
+        counts = np.diff(labels.indptr)
+        if not counts.all():
             raise ValueError("every item needs at least one label")
-        postings = {}
-        for i, ls in enumerate(labels):
-            for label in ls:
-                postings.setdefault(label, []).append(i)
+        by_label = np.argsort(labels.ids, kind="stable")
+        items = np.repeat(np.arange(len(labels)), counts)[by_label]
         object.__setattr__(self, "codes", CodeMatrix.of(self.codes))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_postings", {label: np.array(ids) for label, ids in postings.items()})
+        object.__setattr__(self, "_postings", (labels.ids[by_label], items))
 
     @property
     def d(self) -> int:
@@ -48,13 +137,14 @@ class RetrievalIndex:
     def __len__(self):
         return len(self.codes)
 
-    def _relevant(self, query_labels) -> np.ndarray:
-        """Boolean mask over items: True where the item shares a label with the query."""
+    def _relevant(self, query_labels: np.ndarray) -> np.ndarray:
+        """Boolean mask over items: True where the item shares a label with the query's label ids."""
+        label_ids, items = self._postings
+        lo = np.searchsorted(label_ids, query_labels, side="left").tolist()
+        hi = np.searchsorted(label_ids, query_labels, side="right").tolist()
         mask = np.zeros(len(self), dtype=bool)
-        for label in query_labels:
-            ids = self._postings.get(label)
-            if ids is not None:
-                mask[ids] = True
+        for a, b in zip(lo, hi):
+            mask[items[a:b]] = True
         return mask
 
 
@@ -136,12 +226,13 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
     queries = CodeMatrix.of(query_codes)
     _check_length(index, queries.d)
     cut = _resolve_k(k, len(index))
+    labels = LabelSets.of(query_labels)
+    if not np.diff(labels.indptr).all():
+        raise ValueError("every query needs at least one label")
+    bounds = labels.indptr.tolist()
     aps = []
-    for pos, neg, qlabels in zip(queries.pos, queries.neg, query_labels):
-        qlabels = frozenset(qlabels)
-        if not qlabels:
-            raise ValueError("every query needs at least one label")
-        relevant = index._relevant(qlabels)
+    for pos, neg, a, b in zip(queries.pos, queries.neg, bounds, bounds[1:]):
+        relevant = index._relevant(labels.ids[a:b])
         order, _ = _rank(index, pos, neg, cut)
         total = None
         if normalization == "capped":

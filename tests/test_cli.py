@@ -220,6 +220,25 @@ def test_truncated_header_is_one_line_error(tmp_path, capsys, kind):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("blob", [b"0\n\n1\n", b"0\n1,,2\n", b"0\n\xff\xfe\n"], ids=["blank", "empty-token", "utf8"])
+@pytest.mark.parametrize("which", ["--labels", "--query-labels"])
+def test_bad_labels_file_is_one_line_error(tmp_path, capsys, blob, which):
+    from ternhash import CodeMatrix, save_codes
+    from ternhash.harness import save_labels
+
+    codes, good, bad = tmp_path / "x.tnc", tmp_path / "x.labels", tmp_path / "bad.labels"
+    save_codes(codes, CodeMatrix(pos=np.zeros((3, 1), np.uint64), neg=np.zeros((3, 1), np.uint64), d=6))
+    save_labels(good, [{0}, {1}, {2}])
+    bad.write_bytes(blob)
+    paths = {"--labels": str(good), "--query-labels": str(good), which: str(bad)}
+    code, out, err = run(capsys, "eval", "--codes", str(codes), "--labels", paths["--labels"],
+                         "--query-codes", str(codes), "--query-labels", paths["--query-labels"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def rows_around_a_threshold(net, feats):
     """Float32 rows a few ulps from a point where one hash unit crosses +alpha.
 

@@ -213,6 +213,133 @@ def test_labels_file_errors(tmp_path):
         save_labels(tmp_path / "e.labels", [set()])
 
 
+def reference_load_labels(path):
+    """The line-by-line parser load_labels replaced, kept as the reference, plus the 64-bit range rule."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                raise ValueError(f"{path}:{lineno}: empty label line")
+            try:
+                row = frozenset(int(tok) for tok in line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: labels must be comma-separated integers") from None
+            if not all(-(2**63) <= label < 2**63 for label in row):
+                raise ValueError(f"{path}:{lineno}: labels must fit in a signed 64-bit integer")
+            out.append(row)
+    if not out:
+        raise ValueError(f"{path}: no labels")
+    return out
+
+
+def assert_loads_like_reference(path):
+    """load_labels(path) equals the reference's sets, or raises its error; returns the loaded rows or None."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Both reject it. load_labels decodes the whole file before reading a
+        # line, so it reports the decoding error even where the line parser
+        # met a bad line first.
+        with pytest.raises(UnicodeDecodeError) as got:
+            load_labels(path)
+        assert str(got.value) == str(exc)
+        with pytest.raises(ValueError):
+            reference_load_labels(path)
+        return None
+    try:
+        want = reference_load_labels(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_labels(path)
+        assert str(got.value) == str(exc)
+        return None
+    loaded = load_labels(path)
+    assert loaded == want
+    assert list(loaded) == want
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("3,1,3\n2,2\n", [{1, 3}, {2}]),
+        ("1,2\r\n3\r\n", [{1, 2}, {3}]),
+        ("1\r2\r", [{1}, {2}]),
+        ("1\n2", [{1}, {2}]),
+        (" 4 , 0\t\n-1,+2,1_0\n", [{0, 4}, {-1, 2, 10}]),
+        ("9223372036854775807,-9223372036854775808\n", [{2**63 - 1, -(2**63)}]),
+        # str.strip() drops \x1c at the ends of a line; int() would not
+        ("0,1,2\x1c\n\x1c5\n", [{0, 1, 2}, {5}]),
+    ],
+)
+def test_load_labels_takes_what_the_line_parser_took(tmp_path, text, rows):
+    path = tmp_path / "x.labels"
+    path.write_bytes(text.encode())
+    assert assert_loads_like_reference(path) == rows
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", ": no labels"),
+        ("\n", ":1: empty label line"),
+        ("1\n\n2\n", ":2: empty label line"),
+        ("1\n \t\n2\n", ":2: empty label line"),
+        ("1\n2\n\n", ":3: empty label line"),
+        ("1\n1,,2\n", ":2: labels must be comma-separated integers"),
+        ("1\n2,\n", ":2: labels must be comma-separated integers"),
+        ("1\n2\nx\n\n", ":3: labels must be comma-separated integers"),
+        ("1\x1c,2\n", ":1: labels must be comma-separated integers"),
+        ("1\n9223372036854775808\n", ":2: labels must fit in a signed 64-bit integer"),
+    ],
+)
+def test_load_labels_names_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "bad.labels"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as exc:
+        load_labels(path)
+    assert str(exc.value) == f"{path}{message}"
+    assert_loads_like_reference(path)
+
+
+def test_load_labels_then_save_labels_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(12)
+    path = tmp_path / "x.labels"
+    save_labels(path, [set(rng.choice(40, size=rng.integers(1, 4), replace=False).tolist()) for _ in range(300)])
+    save_labels(tmp_path / "again.labels", load_labels(path))
+    assert (tmp_path / "again.labels").read_bytes() == path.read_bytes()
+
+
+_LABEL_INSERTS = [b",", b"\n", b"\r", b" ", b"+", b"-", b"_", b"7", b"\x1c", "\u00e9".encode(), "\u0663".encode(),
+                  "\u2028".encode(), "\u00a0".encode(), b"\xff", b"\xc3"]
+
+
+@settings(max_examples=400, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_labels_file_mutation_loads_like_the_line_parser_or_raises_its_error(tmp_path, data):
+    rows = data.draw(st.lists(st.sets(st.integers(0, 30), min_size=1, max_size=3), min_size=1, max_size=6), label="rows")
+    path = tmp_path / "x.labels"
+    save_labels(path, rows)
+    blob = path.read_bytes()
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        at = data.draw(st.integers(0, len(blob)), label="offset")
+        kind = data.draw(st.sampled_from(["insert", "flip", "delete", "truncate"]), label="kind")
+        if kind == "insert":
+            blob = blob[:at] + data.draw(st.sampled_from(_LABEL_INSERTS), label="insert") + blob[at:]
+        elif kind == "flip" and at < len(blob):
+            blob = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255), label="xor")]) + blob[at + 1 :]
+        elif kind == "delete":
+            blob = blob[:at] + blob[at + 1 :]
+        elif kind == "truncate":
+            blob = blob[:at]
+    path.write_bytes(blob)
+    loaded = assert_loads_like_reference(path)
+    if loaded is not None:
+        save_labels(tmp_path / "resaved.labels", loaded)
+        assert load_labels(tmp_path / "resaved.labels") == loaded
+
+
 def test_splits_roundtrip(tmp_path):
     ds = gen_synthetic(3, 20, 6, 0.25, 4)
     prefix = str(tmp_path / "demo")

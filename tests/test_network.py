@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from ternhash import (
     cosine_lr,
     cross_entropy,
     forward,
+    hard_ternary,
     hash_features,
     load_checkpoint,
     quantization_error,
@@ -428,6 +430,7 @@ def test_train_makes_no_full_set_forward_pass(monkeypatch, ternary):
     _, expected = train(SMALL, quick_train_cfg(), feats, labels, ternary=ternary)
     monkeypatch.setattr(network, "quantization_error", refuse)
     monkeypatch.setattr(network, "forward", refuse)
+    monkeypatch.setattr(network, "hash_features", refuse)
     _, logs = train(SMALL, quick_train_cfg(), feats, labels, ternary=ternary)
     assert logs == expected
 
@@ -466,6 +469,62 @@ def test_quantization_error_bounds():
     assert 0.0 <= err <= 2.0
     # sharper exponent never reads worse than the hook reports at the same params
     assert quantization_error(net, feats, 11) <= err + 1e-12
+
+
+WIDE = NetworkConfig(input_dim=64, hidden_dims=(256, 256), code_dim=16, num_classes=10, seed=2)
+R = network._ROW_BLOCK
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_hash_features_is_the_forward_hash_layer(dtype):
+    # bit-equal at every block split: one block, near-equal blocks, and the counts around them
+    net = with_dtype(Network.initialize(WIDE), dtype)
+    feats = np.random.default_rng(4).normal(size=(5 * R + 3, 64)).astype(dtype)
+    for n in (1, 2, R - 1, R, R + 1, 2 * R - 1, 2 * R, 2 * R + 1, 5 * R + 3):
+        got, want = hash_features(net, feats[:n]), forward(net, feats[:n], None)[0]
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_row_blocks_are_near_equal():
+    for n in (1, R - 1, R, 2 * R - 1, 2 * R, 2 * R + 1, 5 * R + 3, 40 * R - 1):
+        sizes = [stop - start for start, stop in network._row_blocks(n)]
+        assert sum(sizes) == n
+        if n < 2 * R:
+            assert sizes == [n]
+        else:
+            assert R <= min(sizes) and max(sizes) < 2 * R
+
+
+def test_hash_features_keeps_no_layer_caches():
+    net = with_dtype(Network.initialize(WIDE), np.float32)
+    feats = np.random.default_rng(6).normal(size=(20_000, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        hash_features(net, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cached training forward peaks near 85 MB here
+    assert peak < 16e6
+
+
+def forward_quantization_error(net, feats, k):
+    """quantization_error as it was computed from the cached training forward."""
+    hash_pre, hash_act, _ = forward(net, feats, k)
+    return float(np.abs(hash_act - hard_ternary(hash_pre, net.config.activation.alpha)).mean())
+
+
+@pytest.mark.parametrize("k", [3, 11, None])
+def test_quantization_error_equals_the_forward_expression(k):
+    cfg = NetworkConfig(input_dim=16, hidden_dims=(32,), code_dim=8, num_classes=3, seed=8)
+    rng = np.random.default_rng(9)
+    train_feats = rng.normal(size=(60, 16))
+    trained, _ = train(cfg, quick_train_cfg(epochs=2), train_feats, rng.integers(0, 3, size=60))
+    feats = rng.normal(size=(2 * R + 1, 16))
+    for net in (Network.initialize(cfg), trained):
+        for n in (R - 1, R, R + 1, 2 * R + 1):
+            assert quantization_error(net, feats[:n], k) == forward_quantization_error(net, feats[:n], k)
 
 
 def test_checkpoint_roundtrip(tmp_path):

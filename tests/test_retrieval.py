@@ -3,6 +3,7 @@ import pytest
 
 from ternhash import (
     CodeMatrix,
+    LabelSets,
     RetrievalIndex,
     TernaryCode,
     average_precision,
@@ -243,3 +244,82 @@ def test_average_precision_equals_loop():
         k = int(rng.integers(1, len(rel) + 1))
         for total in (None, 0, k, sum(rel[:k]) + 3):
             assert average_precision(rel, k, total_relevant=total) == loop_average_precision(rel, k, total)
+
+
+def test_label_sets_is_a_sequence_of_frozensets():
+    rows = [{3, 1}, {0}, {2, 5, 4}, {7}]
+    labels = LabelSets.of(rows)
+    assert labels.indptr.tolist() == [0, 2, 3, 6, 7]
+    assert labels.ids.tolist() == [1, 3, 0, 2, 4, 5, 7]
+    assert len(labels) == 4
+    assert labels[0] == frozenset({1, 3}) and isinstance(labels[0], frozenset)
+    assert labels[-1] == {7} and labels[-4] == {1, 3}
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            labels[bad]
+    assert list(labels) == rows
+    assert labels == rows and rows == labels
+    assert labels == [frozenset(r) for r in rows]
+    assert labels != rows[:3] and labels != [*rows[:3], {8}] and labels != "abcd"
+    for cut in (slice(1, 3), slice(None, None, -1), slice(0, 4, 2), slice(3, 1), slice(-2, None)):
+        part = labels[cut]
+        assert isinstance(part, LabelSets)
+        assert part == rows[cut]
+    assert LabelSets.of(labels) is labels
+    # rows are sets: order and repeats do not matter
+    assert LabelSets.of([[3, 1, 3], (0,), [4, 2, 5, 2], [7]]) == labels
+    assert LabelSets.of([]) == [] and len(LabelSets.of([{1}, set()])) == 2
+
+
+def test_label_sets_validation():
+    for bad in ([{1.0}], [{"a"}], [{1, None}]):
+        with pytest.raises(ValueError, match="integers"):
+            LabelSets.of(bad)
+    for bad in ([{2**63}], [{np.uint64(2**64 - 1)}]):
+        with pytest.raises(ValueError, match="64-bit"):
+            LabelSets.of(bad)
+    assert LabelSets.of([{np.int32(4), 2}]) == [{2, 4}]
+    with pytest.raises(ValueError, match="indptr"):
+        LabelSets(indptr=[0, 2], ids=[1])
+    with pytest.raises(ValueError, match="indptr"):
+        LabelSets(indptr=[0, 2, 1], ids=[1])
+    with pytest.raises(ValueError, match="integer"):
+        LabelSets(indptr=[0, 1], ids=[1.5])
+    # construction sorts each row and drops its repeats
+    labels = LabelSets(indptr=[0, 3, 4, 4, 7], ids=[5, 1, 5, 2, 9, 9, 9])
+    assert labels.indptr.tolist() == [0, 2, 3, 3, 4]
+    assert labels.ids.tolist() == [1, 5, 2, 9]
+    assert LabelSets(indptr=[0, 1, 2], ids=[3, 1]).ids.tolist() == [3, 1]
+
+
+def test_index_holds_labels_as_label_sets():
+    for labels in ([{1}, {0, 2}], LabelSets.of([{1}, {0, 2}])):
+        index = RetrievalIndex(codes=[packed(1, 0), packed(0, 1)], labels=labels)
+        assert isinstance(index.labels, LabelSets)
+        assert index.labels == [{1}, {0, 2}]
+    for bad in ([{"a"}, {0}], [{0.5}, {0}]):
+        with pytest.raises(ValueError, match="integers"):
+            RetrievalIndex(codes=[packed(1, 0), packed(0, 1)], labels=bad)
+    with pytest.raises(ValueError, match="at least one label"):
+        RetrievalIndex(codes=[packed(1, 0), packed(0, 1)], labels=LabelSets.of([{0}, set()]))
+    index = RetrievalIndex(codes=[packed(1, 0), packed(0, 1)], labels=[{1}, {0, 2}])
+    with pytest.raises(ValueError, match="integers"):
+        mean_ap(index, [packed(1, 0)], [{"a"}], "all")
+    with pytest.raises(ValueError, match="at least one label"):
+        mean_ap(index, [packed(1, 0), packed(0, 1)], LabelSets.of([{0}, set()]), "all")
+
+
+@pytest.mark.parametrize("d", [16, 70])
+def test_label_sets_index_equals_reference(d):
+    rng = np.random.default_rng(100 + d)
+    codes, labels = tied_instance(rng, 150, d)
+    qcodes, qlabels = tied_instance(rng, 20, d)
+    for index_labels in (labels, LabelSets.of(labels)):
+        index = RetrievalIndex(codes=codes, labels=index_labels)
+        for query_labels in (qlabels, LabelSets.of(qlabels)):
+            for k in (1, 7, "all"):
+                for normalization in ("found", "capped"):
+                    aps, mean = reference_mean_ap(codes, labels, qcodes, qlabels, k, normalization)
+                    report = mean_ap(index, qcodes, query_labels, k, normalization=normalization)
+                    assert report.per_query_ap == aps
+                    assert report.map == mean
