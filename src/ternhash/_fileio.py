@@ -1,4 +1,4 @@
-"""Checked reads for the binary file formats (.tnc, .tnh, .tfv)."""
+"""Checked reads for the binary file formats (.tnc, .tnh, .tfv) and the UTF-8 text ones."""
 
 from __future__ import annotations
 
@@ -20,3 +20,12 @@ def read_exact(fh, n: int, what: str) -> bytes:
     if len(raw) != n:
         raise ValueError(f"truncated {what}: needs {n} bytes, got {len(raw)}")
     return raw
+
+
+def read_text(path) -> str:
+    """The whole UTF-8 file; a decoding error becomes a ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -60,15 +60,20 @@ def _as_finite(x) -> np.ndarray:
     return arr
 
 
-def _signed_power(u: np.ndarray, k: int) -> np.ndarray:
-    # sign(u)^k * |u|^k via exp(k*log|u|), guarded at u = 0; overflow saturates
-    # to inf, which tanh maps to the correct +-1 limit.
+def _smooth_forward(u: np.ndarray, k: int):
+    """(tanh(u^k), log|u|) for odd k, u^k as exp(k*log|u|) signed like u: exactly +-0 at u = 0, an overflow
+    to inf, which tanh maps to the correct +-1 limit. _smooth_backward reuses both."""
     with np.errstate(divide="ignore"):
-        mag = np.exp(k * np.log(np.abs(u)))
-    mag = np.where(u == 0.0, 0.0, mag)
-    if k % 2:
-        return np.copysign(mag, u)
-    return mag
+        log_mag = np.log(np.abs(u))
+    return np.tanh(np.copysign(np.exp(k * log_mag), u)), log_mag
+
+
+def _smooth_backward(t: np.ndarray, log_mag: np.ndarray, k: int, alpha: float) -> np.ndarray:
+    """d tanh((x/alpha)^k)/dx from _smooth_forward's outputs; exactly 0 where sech^2 is."""
+    sech2 = 1.0 - t**2
+    poly = (k / alpha) * np.exp((k - 1) * log_mag)
+    with np.errstate(invalid="ignore"):
+        return np.where(sech2 > 0.0, sech2 * poly, 0.0)
 
 
 def smooth_ternary(x, cfg: ActivationConfig):
@@ -78,7 +83,7 @@ def smooth_ternary(x, cfg: ActivationConfig):
     or arrays; non-finite input is rejected.
     """
     arr = _as_finite(x)
-    out = np.tanh(_signed_power(arr / cfg.alpha, cfg.k))
+    out, _ = _smooth_forward(arr / cfg.alpha, cfg.k)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -90,11 +95,7 @@ def smooth_ternary_grad(x, cfg: ActivationConfig):
     the product is taken as exactly 0.
     """
     arr = _as_finite(x)
-    u = arr / cfg.alpha
-    sech2 = 1.0 - np.tanh(_signed_power(u, cfg.k)) ** 2
-    poly = (cfg.k / cfg.alpha) * _signed_power(u, cfg.k - 1)
-    with np.errstate(invalid="ignore"):
-        out = np.where(sech2 > 0.0, sech2 * poly, 0.0)
+    out = _smooth_backward(*_smooth_forward(arr / cfg.alpha, cfg.k), cfg.k, cfg.alpha)
     return float(out) if arr.ndim == 0 else out
 
 

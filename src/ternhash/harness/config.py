@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .._fileio import read_text
+
 _INT_KEYS = ("classes", "per_class", "input_dim", "code_dim", "k_start", "k_end",
              "stride_epochs", "epochs", "batch_size")
 _FLOAT_KEYS = ("spread", "query_fraction", "train_fraction", "alpha", "lr0", "momentum", "weight_decay")
@@ -114,8 +116,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._fileio import read_exact
+from .._fileio import read_exact, read_text
 from ..retrieval import LabelSets
 
 _FEATURES_MAGIC = b"TFV1"
@@ -182,8 +182,7 @@ def load_labels(path) -> LabelSets:
     The whole file goes through one int() pass. A line may hold its labels in
     any order and repeat them, with whitespace around each; it may not be blank.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if not text:
         raise ValueError(f"{path}: no labels")
     # int() strips whitespace too, but not \x1c-\x1f, which str.strip() removes

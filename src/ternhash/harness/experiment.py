@@ -22,7 +22,7 @@ from ..network import (
     quantization_error,
     train,
 )
-from ..retrieval import RetrievalIndex, _resolve_k, mean_ap
+from ..retrieval import LabelSets, RetrievalIndex, _resolve_k, mean_ap
 from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_splits, single_labels
 
@@ -128,6 +128,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     train_feats, train_label_sets = dataset.subset(dataset.train_ids)
     retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
     query_feats, query_labels = dataset.subset(dataset.query_ids)
+    retrieval_labels, query_labels = LabelSets.of(retrieval_labels), LabelSets.of(query_labels)
 
     stage_ends = _stage_end_epochs(train_cfg.schedule, cfg.epochs)
     stage_errors = {}

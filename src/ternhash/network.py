@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fileio import read_exact
-from .activation import (
+from .activation import (  # smooth_ternary_grad is unused here but stays importable: the benchmark traces it
     ActivationConfig,
     ContinuationSchedule,
+    _smooth_backward,
+    _smooth_forward,
     hard_ternary,
     schedule_k,
     smooth_ternary,
@@ -140,23 +142,23 @@ def _check_labels(labels, batch_size: int, num_classes: int) -> np.ndarray:
 
 
 def _forward_cached(net: Network, batch: np.ndarray, k):
+    """Unchecked forward: (batch and post-ReLU hidden outputs, hash_pre, log|hash_pre/alpha|, hash_act, logits)."""
     n_hidden = len(net.config.hidden_dims)
-    h = batch
-    pre_relu = []
-    hidden_in = []
+    inputs = [batch]
     for i in range(n_hidden):
-        hidden_in.append(h)
-        z = h @ net.weights[i] + net.biases[i]
-        pre_relu.append(z)
-        h = np.maximum(z, 0.0)
-    s = h @ net.weights[n_hidden] + net.biases[n_hidden]
-    hash_pre = np.tanh(s)
+        h = inputs[-1] @ net.weights[i]
+        h += net.biases[i]
+        inputs.append(np.maximum(h, 0, out=h))
+    s = inputs[-1] @ net.weights[n_hidden]
+    s += net.biases[n_hidden]
+    hash_pre = np.tanh(s, out=s)
     if k is None:
-        hash_act = hash_pre
+        hash_act, log_mag = hash_pre, None
     else:
-        hash_act = smooth_ternary(hash_pre, ActivationConfig(net.config.activation.alpha, k))
-    logits = hash_act @ net.weights[n_hidden + 1] + net.biases[n_hidden + 1]
-    return hidden_in, pre_relu, h, hash_pre, hash_act, logits
+        hash_act, log_mag = _smooth_forward(hash_pre / net.config.activation.alpha, k)
+    logits = hash_act @ net.weights[n_hidden + 1]
+    logits += net.biases[n_hidden + 1]
+    return inputs, hash_pre, log_mag, hash_act, logits
 
 
 def forward(net: Network, batch, k):
@@ -168,63 +170,60 @@ def forward(net: Network, batch, k):
     baseline trains).
     """
     arr = _check_batch(batch, net.config.input_dim, net.dtype)
-    _, _, _, hash_pre, hash_act, logits = _forward_cached(net, arr, k)
+    _, hash_pre, _, hash_act, logits = _forward_cached(net, arr, k)
     return hash_pre, hash_act, logits
 
 
-def _log_softmax(logits: np.ndarray):
-    """Row-wise (log softmax, softmax) of max-subtracted logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
-    return shifted - np.log(total), exp / total
+def _softmax_loss(logits: np.ndarray, labels: np.ndarray):
+    """(mean -log softmax(logits)[label], its gradient in logits), max-subtracted; overwrites logits."""
+    rows = np.arange(labels.size)
+    logits -= logits.max(axis=1, keepdims=True)
+    dlogits = np.exp(logits)
+    total = dlogits.sum(axis=1, keepdims=True)
+    loss = float(-np.sum(logits[rows, labels] - np.log(total[:, 0])) / labels.size)
+    dlogits /= total
+    dlogits[rows, labels] -= 1.0
+    dlogits /= labels.size
+    return loss, dlogits
 
 
 def cross_entropy(logits, labels) -> float:
     """Mean over the batch of -log softmax(logits)[label], max-subtracted; float32 stays float32."""
     logits = np.asarray(logits)
-    if logits.dtype != np.float32:
-        logits = logits.astype(np.float64)
+    logits = logits.astype(np.float32 if logits.dtype == np.float32 else np.float64)
     if logits.ndim != 2 or logits.shape[0] == 0:
         raise ValueError(f"logits must be non-empty [B x C], got shape {logits.shape}")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    log_probs, _ = _log_softmax(logits)
-    return float(-log_probs[np.arange(labels.size), labels].mean())
+    return _softmax_loss(logits, labels)[0]
 
 
-def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k):
+def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k, out=None):
+    """(loss, [gradient]) of a checked batch; out, if given, is the (grad, *_layer_views(grad)) to fill."""
     n_hidden = len(net.config.hidden_dims)
-    hidden_in, pre_relu, h_last, hash_pre, hash_act, logits = _forward_cached(net, batch, k)
-    b_size = batch.shape[0]
-
-    log_probs, softmax = _log_softmax(logits)
-    loss = float(-log_probs[np.arange(b_size), labels].mean())
-
-    dlogits = softmax.copy()
-    dlogits[np.arange(b_size), labels] -= 1.0
-    dlogits /= b_size
-
-    grad = np.empty_like(net.flat)
-    grad_w, grad_b = _layer_views(net.config.layer_dims, grad)
+    inputs, hash_pre, log_mag, hash_act, logits = _forward_cached(net, batch, k)
+    loss, dlogits = _softmax_loss(logits, labels)
+    if out is None:
+        grad = np.empty_like(net.flat)
+        out = (grad, *_layer_views(net.config.layer_dims, grad))
+    grad, grad_w, grad_b = out
     np.matmul(hash_act.T, dlogits, out=grad_w[n_hidden + 1])
     dlogits.sum(axis=0, out=grad_b[n_hidden + 1])
 
-    d_act = dlogits @ net.weights[n_hidden + 1].T
-    if k is None:
-        d_pre = d_act
-    else:
-        d_pre = d_act * smooth_ternary_grad(hash_pre, ActivationConfig(net.config.activation.alpha, k))
-    d_s = d_pre * (1.0 - hash_pre**2)
-    np.matmul(h_last.T, d_s, out=grad_w[n_hidden])
+    d_s = dlogits @ net.weights[n_hidden + 1].T
+    if k is not None:
+        d_s *= _smooth_backward(hash_act, log_mag, k, net.config.activation.alpha)
+    hash_pre *= hash_pre
+    d_s *= np.subtract(1.0, hash_pre, out=hash_pre)
+    np.matmul(inputs[-1].T, d_s, out=grad_w[n_hidden])
     d_s.sum(axis=0, out=grad_b[n_hidden])
 
     d_h = d_s @ net.weights[n_hidden].T
     for i in reversed(range(n_hidden)):
-        d_z = d_h * (pre_relu[i] > 0.0)
-        np.matmul(hidden_in[i].T, d_z, out=grad_w[i])
-        d_z.sum(axis=0, out=grad_b[i])
+        d_h *= inputs[i + 1] > 0
+        np.matmul(inputs[i].T, d_h, out=grad_w[i])
+        d_h.sum(axis=0, out=grad_b[i])
         if i:
-            d_h = d_z @ net.weights[i].T
+            d_h = d_h @ net.weights[i].T
     return loss, [grad]
 
 
@@ -352,30 +351,34 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     drives the per-epoch reshuffle. The last short batch of an epoch is kept.
     Training computes in float32: the initial parameters and the features are
     cast once, and the returned network is float32, as checkpoints store it.
+    Overflow and NaN warnings are off, epoch hooks included; a non-finite epoch loss raises FloatingPointError.
     """
     feats = _check_batch(features, net_cfg.input_dim, np.float32)
     labs = _check_labels(labels, feats.shape[0], net_cfg.num_classes)
 
     net = Network(config=net_cfg, flat=Network.initialize(net_cfg).flat.astype(np.float32))
     state = TrainState(velocity=[np.zeros_like(net.flat)], rng=np.random.default_rng(net_cfg.seed))
+    grad = np.empty_like(net.flat)
+    grad_out = (grad, *_layer_views(net_cfg.layer_dims, grad))
     n = feats.shape[0]
     logs = []
-    for epoch in range(train_cfg.epochs):
-        k = schedule_k(epoch, train_cfg.schedule) if ternary else None
-        lr = cosine_lr(epoch, train_cfg)
-        perm = state.rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, train_cfg.batch_size):
-            idx = perm[start : start + train_cfg.batch_size]
-            loss, grads = _loss_and_grads(net, feats[idx], labs[idx], k)
-            sgd_momentum_step(net, state, grads, lr, train_cfg.momentum, train_cfg.weight_decay)
-            loss_sum += loss * idx.size
-        entry = EpochLog(epoch=epoch, k=k, lr=lr, loss=loss_sum / n)
-        if not math.isfinite(entry.loss):
-            raise FloatingPointError(f"non-finite training loss at epoch {epoch}: {entry}")
-        logs.append(entry)
-        if epoch_hook is not None:
-            epoch_hook(net, entry)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.epochs):
+            k = schedule_k(epoch, train_cfg.schedule) if ternary else None
+            lr = cosine_lr(epoch, train_cfg)
+            perm = state.rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, train_cfg.batch_size):
+                idx = perm[start : start + train_cfg.batch_size]
+                loss, grads = _loss_and_grads(net, feats[idx], labs[idx], k, grad_out)
+                sgd_momentum_step(net, state, grads, lr, train_cfg.momentum, train_cfg.weight_decay)
+                loss_sum += loss * idx.size
+            entry = EpochLog(epoch=epoch, k=k, lr=lr, loss=loss_sum / n)
+            if not math.isfinite(entry.loss):
+                raise FloatingPointError(f"non-finite training loss at epoch {epoch}: {entry}")
+            logs.append(entry)
+            if epoch_hook is not None:
+                epoch_hook(net, entry)
     return net, logs
 
 

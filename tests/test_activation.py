@@ -144,6 +144,46 @@ def test_activation_computes_in_float32_for_float32_input():
         assert fn(np.arange(-2, 3), cfg).dtype == np.float64
 
 
+def signed_power(u, k):
+    # the power kernel before the activation's forward/backward were fused, kept as the reference
+    with np.errstate(divide="ignore"):
+        mag = np.exp(k * np.log(np.abs(u)))
+    mag = np.where(u == 0.0, 0.0, mag)
+    if k % 2:
+        return np.copysign(mag, u)
+    return mag
+
+
+def reference_smooth_ternary(x, cfg):
+    return np.tanh(signed_power(x / cfg.alpha, cfg.k))
+
+
+def reference_smooth_ternary_grad(x, cfg):
+    u = x / cfg.alpha
+    sech2 = 1.0 - np.tanh(signed_power(u, cfg.k)) ** 2
+    poly = (cfg.k / cfg.alpha) * signed_power(u, cfg.k - 1)
+    with np.errstate(invalid="ignore"):
+        return np.where(sech2 > 0.0, sech2 * poly, 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.05])
+def test_activation_is_bit_equal_to_the_signed_power_reference(dtype, alpha):
+    # the grid with both signed zeros, a float32 ulp walk around alpha, and values large enough to saturate
+    x = np.concatenate([GRID, [0.0, -0.0, 1e-30, -1e-30, 50.0, -50.0],
+                        alpha * (1 + np.arange(-8, 9) * 2.0**-23)]).astype(dtype)
+    for k in KS:
+        cfg = ActivationConfig(alpha, k)
+        for fn, ref in ((smooth_ternary, reference_smooth_ternary),
+                        (smooth_ternary_grad, reference_smooth_ternary_grad)):
+            got, want = fn(x, cfg), ref(x, cfg)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), (fn.__name__, k)
+            for v in (0.0, -0.0, float(x[37])):
+                assert math.copysign(1, fn(v, cfg)) == math.copysign(1, float(ref(np.float64(v), cfg)))
+                assert fn(v, cfg) == float(ref(np.float64(v), cfg))
+
+
 def test_schedule_defaults():
     sched = ContinuationSchedule()
     assert schedule_k(0, sched) == 3

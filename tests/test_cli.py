@@ -1,7 +1,11 @@
+import dataclasses
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ternhash.harness import experiment, save_config, ExperimentConfig
+from ternhash.harness import experiment, load_config, save_config, ExperimentConfig
 from ternhash.harness.cli import main
 
 
@@ -237,6 +241,33 @@ def test_bad_labels_file_is_one_line_error(tmp_path, capsys, blob, which):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+    if b"\xff" in blob:
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_config_that_is_not_utf8_is_one_line_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"classes = 3\n# caf\xe9\n")
+    for command in ("train", "compare"):
+        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "m.tnh"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9 in position 17")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_diverging_train_is_one_line_error(tmp_path, capsys):
+    ref = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_d16.cfg")
+    save_config(tmp_path / "diverge.cfg", dataclasses.replace(ref, lr0=1e6, epochs=5, stride_epochs=1, per_class=50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape main() as an exception
+        code, out, err = run(capsys, "train", "--config", str(tmp_path / "diverge.cfg"),
+                             "--out", str(tmp_path / "m.tnh"))
+    assert code == 1
+    assert out.startswith("epoch 0 ")
+    assert err.startswith("error: non-finite training loss at epoch ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.tnh").exists()
 
 
 def rows_around_a_threshold(net, feats):

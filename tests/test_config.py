@@ -102,6 +102,19 @@ def test_file_roundtrip(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_config_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"classes = 3\n# caf\xe9\n")
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        want = f"{path}: {exc}"
+    with pytest.raises(ValueError) as got:
+        load_config(path)
+    assert str(got.value) == want
+    assert type(got.value) is ValueError
+
+
 def test_reference_configs_parse():
     from pathlib import Path
 

@@ -239,11 +239,11 @@ def assert_loads_like_reference(path):
         path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         # Both reject it. load_labels decodes the whole file before reading a
-        # line, so it reports the decoding error even where the line parser
-        # met a bad line first.
-        with pytest.raises(UnicodeDecodeError) as got:
+        # line, so it reports the decoding error, naming the file, even where
+        # the line parser met a bad line first.
+        with pytest.raises(ValueError) as got:
             load_labels(path)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == f"{path}: {exc}"
         with pytest.raises(ValueError):
             reference_load_labels(path)
         return None

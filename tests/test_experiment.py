@@ -3,6 +3,7 @@ import pytest
 
 from ternhash import (
     ContinuationSchedule,
+    LabelSets,
     Network,
     NetworkConfig,
     hash_features,
@@ -86,6 +87,23 @@ def test_run_seed_shapes():
     assert len(r.two_step_logs) == 4
     assert [e.k for e in r.continuation_logs] == [3, 3, 5, 5]
     assert all(e.k is None for e in r.two_step_logs)
+
+
+def test_run_seed_converts_each_split_to_label_sets_once(monkeypatch):
+    convert = LabelSets.of.__func__
+    converted = []
+
+    def counting(cls, labels):
+        if not isinstance(labels, LabelSets):
+            converted.append(len(labels))
+        return convert(cls, labels)
+
+    cfg = tiny_config(query_fraction=0.2)
+    dataset, _, _ = seed_setup(cfg, 1)
+    expected = run_seed(cfg, 1)
+    monkeypatch.setattr(LabelSets, "of", classmethod(counting))
+    assert run_seed(cfg, 1) == expected
+    assert converted == [len(dataset.retrieval_ids), len(dataset.query_ids)]
 
 
 def test_zero_lr_makes_arms_identical():

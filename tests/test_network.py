@@ -26,10 +26,13 @@ from ternhash import (
     quantization_error,
     save_checkpoint,
     sgd_momentum_step,
+    smooth_ternary,
+    smooth_ternary_grad,
     train,
 )
 
 SMALL = NetworkConfig(input_dim=3, hidden_dims=(5,), code_dim=4, num_classes=3, seed=11)
+DEEP = NetworkConfig(input_dim=3, hidden_dims=(12, 10), code_dim=5, num_classes=3, seed=7)
 
 
 def from_layers(cfg, weights, biases):
@@ -446,6 +449,130 @@ def test_training_loss_equals_cross_entropy(k):
             batch_labels = rng.integers(0, 3, size=size)
             loss, _ = network._loss_and_grads(net, batch, batch_labels, k)
             assert loss == cross_entropy(forward(net, batch, k)[2], batch_labels)
+
+
+def log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    return shifted - np.log(total), exp / total
+
+
+def reference_loss_and_grads(net, batch, labels, k, out=None):
+    """The training step as composed before it was fused: the public activation
+    functions, a copied softmax and fresh arrays throughout; out is ignored."""
+    n_hidden = len(net.config.hidden_dims)
+    h, hidden_in, pre_relu = batch, [], []
+    for i in range(n_hidden):
+        hidden_in.append(h)
+        z = h @ net.weights[i] + net.biases[i]
+        pre_relu.append(z)
+        h = np.maximum(z, 0.0)
+    hash_pre = np.tanh(h @ net.weights[n_hidden] + net.biases[n_hidden])
+    act = None if k is None else ActivationConfig(net.config.activation.alpha, k)
+    hash_act = hash_pre if k is None else smooth_ternary(hash_pre, act)
+    logits = hash_act @ net.weights[n_hidden + 1] + net.biases[n_hidden + 1]
+    rows = np.arange(batch.shape[0])
+    log_probs, softmax = log_softmax(logits)
+    loss = float(-log_probs[rows, labels].mean())
+    dlogits = softmax.copy()
+    dlogits[rows, labels] -= 1.0
+    dlogits /= batch.shape[0]
+    grad = np.empty_like(net.flat)
+    grad_w, grad_b = network._layer_views(net.config.layer_dims, grad)
+    np.matmul(hash_act.T, dlogits, out=grad_w[n_hidden + 1])
+    dlogits.sum(axis=0, out=grad_b[n_hidden + 1])
+    d_pre = dlogits @ net.weights[n_hidden + 1].T
+    if k is not None:
+        d_pre = d_pre * smooth_ternary_grad(hash_pre, act)
+    d_s = d_pre * (1.0 - hash_pre**2)
+    np.matmul(h.T, d_s, out=grad_w[n_hidden])
+    d_s.sum(axis=0, out=grad_b[n_hidden])
+    d_h = d_s @ net.weights[n_hidden].T
+    for i in reversed(range(n_hidden)):
+        d_z = d_h * (pre_relu[i] > 0.0)
+        np.matmul(hidden_in[i].T, d_z, out=grad_w[i])
+        d_z.sum(axis=0, out=grad_b[i])
+        if i:
+            d_h = d_z @ net.weights[i].T
+    return loss, [grad]
+
+
+def step_test_net(kind):
+    """DEEP as train() returns it (float32), as Network.initialize gives it (float64), all
+    zeros (every hash unit exactly 0), or with a hash layer scaled until tanh saturates."""
+    dtype = np.float32 if kind.startswith("f32") else np.float64
+    if kind == "f32-trained":
+        feats, labels = small_problem()
+        return train(DEEP, quick_train_cfg(epochs=2), feats, labels)[0]
+    if kind.endswith("zero"):
+        return with_dtype(zero_network(DEEP), dtype)
+    net = with_dtype(Network.initialize(DEEP), dtype)
+    if kind.endswith("saturated"):
+        net.weights[len(DEEP.hidden_dims)] *= 1000
+    return net
+
+
+@pytest.mark.parametrize("kind", ["f32-trained", "f64-initialized", "f32-zero", "f64-zero",
+                                  "f32-saturated", "f64-saturated"])
+@pytest.mark.parametrize("k", [3, 5, 7, 9, 11, None])
+def test_fused_step_is_bit_equal_to_the_reference_step(kind, k):
+    net = step_test_net(kind)
+    before = net.flat.copy()
+    rng = np.random.default_rng(13)
+    grad = np.empty_like(net.flat)
+    out = (grad, *network._layer_views(DEEP.layer_dims, grad))
+    for size in (1, 7, 64):
+        batch = (rng.normal(size=(size, 3)) * 3).astype(net.dtype)
+        labels = rng.integers(0, 3, size=size)
+        want_loss, want = reference_loss_and_grads(net, batch, labels, k)
+        hash_pre = forward(net, batch, k)[0]
+        if kind.endswith("zero"):
+            assert not hash_pre.any()
+        if kind.endswith("saturated") and k is not None and k >= 5:
+            assert not smooth_ternary_grad(hash_pre, ActivationConfig(0.5, k)).any()
+        for loss, grads in (network._loss_and_grads(net, batch, labels, k),
+                            network._loss_and_grads(net, batch, labels, k, out)):
+            assert loss == want_loss
+            assert grads[0].dtype == net.dtype
+            assert grads[0].tobytes() == want[0].tobytes()
+        assert grads[0] is grad
+    assert np.array_equal(net.flat, before)
+
+
+@pytest.mark.parametrize("ternary", [True, False])
+def test_train_on_the_reference_step_gives_the_same_run(monkeypatch, ternary):
+    feats, labels = small_problem()
+    cfg = quick_train_cfg(batch_size=20, schedule=ContinuationSchedule(k_start=3, k_end=11, stride_epochs=1,
+                                                                        total_epochs=6))
+    net, logs = train(DEEP, cfg, feats, labels, ternary=ternary)
+    monkeypatch.setattr(network, "_loss_and_grads", reference_loss_and_grads)
+    ref_net, ref_logs = train(DEEP, cfg, feats, labels, ternary=ternary)
+    assert logs == ref_logs
+    assert np.array_equal(net.flat, ref_net.flat)
+
+
+@pytest.mark.parametrize("batch_size, epochs", [(16, 6), (20, 6), (48, 2), (64, 3), (1, 1)])
+def test_train_steps_once_per_batch(monkeypatch, batch_size, epochs):
+    # one sgd_momentum_step per batch, the last short one included, looked up on the module
+    feats, labels = small_problem()
+    calls = []
+    real = network.sgd_momentum_step
+    monkeypatch.setattr(network, "sgd_momentum_step", lambda *args: calls.append(1) or real(*args))
+    train(SMALL, quick_train_cfg(batch_size=batch_size, epochs=epochs), feats, labels)
+    assert len(calls) == math.ceil(feats.shape[0] / batch_size) * epochs
+
+
+@pytest.mark.parametrize("ternary", [True, False])
+def test_diverging_run_raises_floating_point_error_without_warnings(ternary):
+    feats, labels = small_problem()
+    hook = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^non-finite training loss at epoch"):
+            train(DEEP, quick_train_cfg(lr0=1e8), feats, labels, ternary=ternary,
+                  epoch_hook=lambda net, e: hook.append(quantization_error(net, feats, e.k)))
+    assert hook
 
 
 @pytest.mark.parametrize("trained", [False, True])
