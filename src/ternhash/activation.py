@@ -103,15 +103,22 @@ def hard_ternary(x, alpha: float):
     """Three-level quantizer: +1 at x >= alpha, -1 at x <= -alpha, else 0.
 
     Boundaries are inclusive. Scalar input returns an int, arrays return int8.
-    The comparison runs in float64, so float32 input is held against alpha
-    itself, not against alpha rounded to float32.
+    The result equals the comparison in float64, so float32 input is held
+    against alpha itself, not against alpha rounded to float32: it is compared
+    in float32 against the smallest float32 >= alpha, which no float32 falls
+    between.
     """
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
-    arr = _as_finite(x).astype(np.float64, copy=False)
-    out = np.zeros(arr.shape, dtype=np.int8)
-    out[arr >= alpha] = 1
-    out[arr <= -alpha] = -1
+    arr = _as_finite(x)
+    alpha = bound = float(alpha)
+    if arr.dtype == np.float32:
+        with np.errstate(over="ignore"):
+            bound = np.float32(alpha)
+        # float(bound), not bound: comparing the float32 scalar with a Python float would run in float32
+        if float(bound) < alpha:
+            bound = np.nextafter(bound, np.float32(np.inf))
+    out = np.asarray(arr >= bound).view(np.int8) - np.asarray(arr <= -bound).view(np.int8)
     return int(out) if arr.ndim == 0 else out
 
 

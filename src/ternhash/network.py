@@ -141,17 +141,23 @@ def _check_labels(labels, batch_size: int, num_classes: int) -> np.ndarray:
     return arr
 
 
+def _layer(net: Network, i: int, h: np.ndarray, out=None) -> np.ndarray:
+    """Layer i of the hidden stack or the hash layer on rows h: h @ W + b, then max(0, .) or, for the hash layer,
+    tanh into out (a fresh array if None). The one spelling of both, so training and inference stay bit-equal."""
+    z = h @ net.weights[i]
+    z += net.biases[i]
+    if i < len(net.config.hidden_dims):
+        return np.maximum(z, 0, out=z)
+    return np.tanh(z, out=z if out is None else out)
+
+
 def _forward_cached(net: Network, batch: np.ndarray, k):
     """Unchecked forward: (batch and post-ReLU hidden outputs, hash_pre, log|hash_pre/alpha|, hash_act, logits)."""
     n_hidden = len(net.config.hidden_dims)
     inputs = [batch]
     for i in range(n_hidden):
-        h = inputs[-1] @ net.weights[i]
-        h += net.biases[i]
-        inputs.append(np.maximum(h, 0, out=h))
-    s = inputs[-1] @ net.weights[n_hidden]
-    s += net.biases[n_hidden]
-    hash_pre = np.tanh(s, out=s)
+        inputs.append(_layer(net, i, inputs[-1]))
+    hash_pre = _layer(net, n_hidden, inputs[-1])
     if k is None:
         hash_act, log_mag = hash_pre, None
     else:
@@ -332,12 +338,8 @@ def hash_features(net: Network, features) -> np.ndarray:
     for start, stop in _row_blocks(arr.shape[0]):
         h = arr[start:stop]
         for i in range(n_hidden):
-            h = h @ net.weights[i]
-            h += net.biases[i]
-            np.maximum(h, 0, out=h)
-        z = h @ net.weights[n_hidden]
-        z += net.biases[n_hidden]
-        np.tanh(z, out=out[start:stop])
+            h = _layer(net, i, h)
+        _layer(net, n_hidden, h, out[start:stop])
     return out
 
 

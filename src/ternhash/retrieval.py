@@ -114,6 +114,7 @@ class RetrievalIndex:
     codes: CodeMatrix
     labels: LabelSets
     _postings: tuple = field(init=False, repr=False, compare=False)
+    _scan: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not len(self.codes):
@@ -129,6 +130,7 @@ class RetrievalIndex:
         object.__setattr__(self, "codes", CodeMatrix.of(self.codes))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_postings", (labels.ids[by_label], items))
+        object.__setattr__(self, "_scan", _scan_rows(self.codes))
 
     @property
     def d(self) -> int:
@@ -161,16 +163,36 @@ def _check_length(index: RetrievalIndex, d: int) -> None:
         raise ValueError(f"query length {d} does not match index length {index.d}")
 
 
-def _rank(index: RetrievalIndex, pos: np.ndarray, neg: np.ndarray, cut: int) -> tuple:
-    """(ids, distances) of one query's first cut items: ascending distance, then ascending id.
+def _scan_rows(codes) -> np.ndarray:
+    """A CodeMatrix or PackedCode as the uint64 rows _rank scans: one XOR and popcount give the distance.
 
-    Distances fit the smallest unsigned dtype holding 2d, on which numpy's
-    stable sort is a radix sort over the 2d+1 possible values.
+    For d <= 32 a code is one word, its negative plane in the high half;
+    longer codes put the two planes side by side, 2 * words words.
     """
-    dtype = np.min_scalar_type(2 * index.d)
-    dist = np.bitwise_count(index.codes.pos ^ pos).sum(axis=1, dtype=dtype)
-    dist += np.bitwise_count(index.codes.neg ^ neg).sum(axis=1, dtype=dtype)
-    order = np.argsort(dist, kind="stable")[:cut]
+    if codes.d <= 32:
+        return codes.pos[..., 0] | (codes.neg[..., 0] << np.uint64(32))
+    return np.concatenate((codes.pos, codes.neg), axis=-1)
+
+
+def _rank(index: RetrievalIndex, query: np.ndarray, cut: int) -> tuple:
+    """(ids, distances) of the first cut items for one _scan_rows query row: ascending distance, then ascending id.
+
+    Equal to a stable argsort of the distances cut at cut. For cut < n, the
+    cut-th smallest distance t is found by a partition, and only the items
+    within t, in id order, are stably sorted. Distances fit the smallest
+    unsigned dtype holding 2d; uint8 ones are partitioned as a uint16 copy,
+    for which numpy's partition is vectorized.
+    """
+    dist = np.bitwise_count(index._scan ^ query)
+    if dist.ndim == 2:
+        dist = dist.sum(axis=1, dtype=np.min_scalar_type(2 * index.d))
+    if cut == dist.size:
+        order = np.argsort(dist, kind="stable")
+    else:
+        wide = dist.astype(np.uint16) if dist.dtype == np.uint8 else dist
+        threshold = int(np.partition(wide, cut - 1)[cut - 1])
+        candidates = np.flatnonzero(dist <= threshold)
+        order = candidates[np.argsort(dist[candidates], kind="stable")[:cut]]
     return order, dist[order]
 
 
@@ -181,7 +203,7 @@ def query_topk(index: RetrievalIndex, query: PackedCode, k) -> list[tuple[int, i
     """
     cut = _resolve_k(k, len(index))
     _check_length(index, query.d)
-    ids, dist = _rank(index, query.pos, query.neg, cut)
+    ids, dist = _rank(index, _scan_rows(query), cut)
     return list(zip(ids.tolist(), dist.tolist()))
 
 
@@ -231,9 +253,9 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
         raise ValueError("every query needs at least one label")
     bounds = labels.indptr.tolist()
     aps = []
-    for pos, neg, a, b in zip(queries.pos, queries.neg, bounds, bounds[1:]):
+    for query, a, b in zip(_scan_rows(queries), bounds, bounds[1:]):
         relevant = index._relevant(labels.ids[a:b])
-        order, _ = _rank(index, pos, neg, cut)
+        order, _ = _rank(index, query, cut)
         total = None
         if normalization == "capped":
             total = min(int(np.count_nonzero(relevant)), cut)

@@ -132,6 +132,49 @@ def test_hard_ternary_holds_float32_input_against_alpha_itself():
     assert hard_ternary(np.array([x, -x, np.float32(0.75)]), 0.7).tolist() == [0, 0, 1]
 
 
+def reference_hard_ternary(x, alpha):
+    # the float64 expression hard_ternary ran before it compared in the input's dtype, kept as the reference
+    arr = np.asarray(x).astype(np.float64)
+    out = np.zeros(arr.shape, dtype=np.int8)
+    out[arr >= alpha] = 1
+    out[arr <= -alpha] = -1
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1 / 3, 1e-30, 3e38])
+def test_hard_ternary_equals_the_float64_comparison(alpha):
+    # alpha in float64 and rounded to float32, each with its float32 and float64 neighbours, both signs
+    near = []
+    for a in (np.float64(alpha), np.float64(np.float32(alpha))):
+        for dtype in (np.float32, np.float64):
+            v = dtype(a)
+            near += [v, np.nextafter(v, dtype(0)), np.nextafter(v, dtype(np.inf))]
+    near = np.array(near, dtype=np.float64)
+    x = np.concatenate([near, -near, [0.0, -0.0, 1e-45, 0.25, 1.0, 3.4e38]])
+    for dtype in (np.float32, np.float64):
+        xs = x.astype(dtype)
+        got, want = hard_ternary(xs, alpha), reference_hard_ternary(xs, alpha)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+        assert np.array_equal(hard_ternary(xs.reshape(2, -1), alpha), want.reshape(2, -1))
+        for v in xs:
+            got = hard_ternary(v, alpha)
+            assert type(got) is int
+            assert got == int(reference_hard_ternary(v, alpha))
+
+
+def test_hard_ternary_integer_and_scalar_input():
+    ints = np.arange(-3, 4)
+    for alpha in (1, 1.5, 2, 0.5):
+        got = hard_ternary(ints, alpha)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, reference_hard_ternary(ints, alpha))
+        for v in (*ints.tolist(), *ints.astype(np.int32)):
+            assert hard_ternary(v, alpha) == int(reference_hard_ternary(v, alpha))
+            assert type(hard_ternary(v, alpha)) is int
+    assert type(hard_ternary(np.float32(0.7), 0.7)) is int
+
+
 def test_activation_computes_in_float32_for_float32_input():
     cfg = ActivationConfig(0.5, 7)
     x32 = np.linspace(-1.0, 1.0, 41, dtype=np.float32)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternhash import (
     CodeMatrix,
@@ -10,6 +14,7 @@ from ternhash import (
     format_report,
     mean_ap,
     pack,
+    pack_matrix,
     query_topk,
 )
 
@@ -219,14 +224,20 @@ def tied_instance(rng, n, d, classes=5):
     return codes, labels
 
 
-@pytest.mark.parametrize("d", [1, 16, 64, 70, 130])
+def tie_cut(codes, query):
+    """A cut that splits a run of equal distances: the item just past it ties with the last one kept."""
+    dists = [dist for _, dist in reference_topk(codes, query, "all")]
+    return next(i for i in range(1, len(dists)) if dists[i - 1] == dists[i])
+
+
+@pytest.mark.parametrize("d", [1, 16, 32, 33, 64, 70, 130])
 def test_ranking_equals_reference(d):
     rng = np.random.default_rng(d)
     codes, labels = tied_instance(rng, 150, d)
     qcodes, qlabels = tied_instance(rng, 20, d)
     index = RetrievalIndex(codes=codes, labels=labels)
     assert RetrievalIndex(codes=CodeMatrix.of(codes), labels=labels).codes == index.codes
-    for k in (1, 7, "all"):
+    for k in (1, 7, tie_cut(codes, qcodes[0]), 149, 150, "all"):
         for q in qcodes:
             assert query_topk(index, q, k) == reference_topk(codes, q, k)
         for normalization in ("found", "capped"):
@@ -235,6 +246,42 @@ def test_ranking_equals_reference(d):
                 report = mean_ap(index, queries, qlabels, k, normalization=normalization)
                 assert report.per_query_ap == aps
                 assert report.map == mean
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data(), d=st.integers(1, 140), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_ranking_equals_reference_on_tie_heavy_codes(data, d, n, seed):
+    # few prototypes and few flips: long runs of equal distances, cut anywhere
+    rng = np.random.default_rng(seed)
+    codes, labels = tied_instance(rng, n, d, classes=3)
+    qcodes, qlabels = tied_instance(rng, 4, d, classes=3)
+    k = data.draw(st.one_of(st.integers(1, n), st.just("all")), label="k")
+    index = RetrievalIndex(codes=codes, labels=labels)
+    for q in qcodes:
+        assert query_topk(index, q, k) == reference_topk(codes, q, k)
+    for normalization in ("found", "capped"):
+        aps, mean = reference_mean_ap(codes, labels, qcodes, qlabels, k, normalization)
+        report = mean_ap(index, qcodes, qlabels, k, normalization=normalization)
+        assert report.per_query_ap == aps
+        assert report.map == mean
+
+
+def test_mean_ap_topk_memory_stays_small():
+    n, d = 20_000, 32
+    rng = np.random.default_rng(9)
+    index = RetrievalIndex(
+        codes=pack_matrix(rng.integers(-1, 2, size=(n, d))), labels=LabelSets(np.arange(n + 1), rng.integers(0, 10, n))
+    )
+    queries, query_labels = pack_matrix(rng.integers(-1, 2, size=(50, d))), LabelSets(np.arange(51), np.arange(50) % 10)
+    tracemalloc.start()
+    try:
+        mean_ap(index, queries, query_labels, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one query's XOR of the one-word scan rows is 8 bytes per item and its distances and selection a few more
+    # (about 10.4 in all); scan rows rebuilt per query, or the partition run on an int64 copy, pass 16
+    assert peak < 16 * n
 
 
 def test_average_precision_equals_loop():
