@@ -2,24 +2,44 @@
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 
+import numpy as np
 
-def read_exact(fh, n: int, what: str) -> bytes:
-    """Read exactly n bytes, or raise ValueError naming what was cut short.
 
-    On a regular file the claim is checked against the bytes left before
-    reading, so a corrupt header cannot make the reader allocate its size.
-    """
+def _check_claim(fh, n: int, what: str) -> None:
+    """On a regular file, check that n bytes are left, so a corrupt header cannot make the reader allocate its size."""
     st = os.fstat(fh.fileno())
     left = st.st_size - fh.tell()
     if stat.S_ISREG(st.st_mode) and n > left:
         raise ValueError(f"truncated {what}: needs {n} bytes, {left} left")
+
+
+def read_exact(fh, n: int, what: str) -> bytes:
+    """Read exactly n bytes, or raise ValueError naming what was cut short."""
+    _check_claim(fh, n, what)
     raw = fh.read(n)
     if len(raw) != n:
         raise ValueError(f"truncated {what}: needs {n} bytes, got {len(raw)}")
     return raw
+
+
+def read_payload(fh, shape: tuple, dtype: str, what: str) -> np.ndarray:
+    """The rest of the file as a new writable array of shape and little-endian dtype, read with one readinto.
+
+    Raises ValueError when the file holds fewer bytes than the array, or more.
+    """
+    n = math.prod(shape) * np.dtype(dtype).itemsize
+    _check_claim(fh, n, what)
+    arr = np.empty(shape, dtype=dtype)
+    got = fh.readinto(memoryview(arr).cast("B"))
+    if got != n:
+        raise ValueError(f"truncated {what}: needs {n} bytes, got {got}")
+    if fh.read(1):
+        raise ValueError(f"trailing bytes after {what}")
+    return arr.astype(arr.dtype.newbyteorder("="), copy=False)
 
 
 def read_text(path) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import read_exact
+from ._fileio import read_exact, read_payload
 
 _TRIT_BITS = {1: "10", 0: "00", -1: "01"}
 
@@ -218,9 +218,6 @@ def load_codes(path) -> CodeMatrix:
         n, d = struct.unpack("<II", read_exact(fh, 8, "code file header"))
         if n < 1 or d < 1:
             raise ValueError(f"invalid header: n={n}, d={d}")
-        words = _words(d)
-        raw = read_exact(fh, n * 2 * words * 8, "code payload")
-        if fh.read(1):
-            raise ValueError("trailing bytes after code payload")
-    planes = np.frombuffer(raw, dtype="<u8").reshape(n, 2, words)
+        planes = read_payload(fh, (n, 2, _words(d)), "<u8", "code payload")
+    planes.flags.writeable = False  # a one-code matrix holds views of the buffer, read-only as before
     return CodeMatrix(pos=planes[:, 0], neg=planes[:, 1], d=d)

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ..codes import load_codes, save_codes
-from ..network import load_checkpoint, quantization_error, save_checkpoint, train
+from ..network import check_checkpoint_fields, load_checkpoint, quantization_error, save_checkpoint, train
 from ..retrieval import RetrievalIndex, format_report, mean_ap
 from .config import load_config
 from .data import gen_synthetic, load_features, load_labels, save_splits, single_labels
@@ -39,6 +39,7 @@ def _parse_eval_k(raw: str):
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     dataset, net_cfg, train_cfg = seed_setup(cfg, cfg.seeds[0] if args.seed is None else args.seed)
+    check_checkpoint_fields(net_cfg, train_cfg.schedule)
     feats, label_sets = dataset.subset(dataset.train_ids)
 
     def report(net, entry):
@@ -137,8 +138,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._fileio import read_exact, read_text
+from .._fileio import read_exact, read_payload, read_text
 from ..retrieval import LabelSets
 
 _FEATURES_MAGIC = b"TFV1"
@@ -159,10 +159,7 @@ def load_features(path) -> np.ndarray:
         n, dim = struct.unpack("<II", read_exact(fh, 8, "feature file header"))
         if n < 1 or dim < 1:
             raise ValueError(f"invalid header: n={n}, dim={dim}")
-        raw = read_exact(fh, 4 * n * dim, "feature payload")
-        if fh.read(1):
-            raise ValueError("trailing bytes after feature payload")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(n, dim)
+        return read_payload(fh, (n, dim), "<f4", "feature payload")
 
 
 def save_labels(path, labels) -> None:
@@ -179,12 +176,16 @@ def save_labels(path, labels) -> None:
 def load_labels(path) -> LabelSets:
     """Inverse of save_labels; returns one LabelSets row per line.
 
-    The whole file goes through one int() pass. A line may hold its labels in
-    any order and repeat them, with whitespace around each; it may not be blank.
+    Text in save_labels' own form is parsed as arrays; any other text goes
+    through one int() pass. A line may hold its labels in any order and repeat
+    them, with whitespace around each; it may not be blank.
     """
     text = read_text(path)
     if not text:
         raise ValueError(f"{path}: no labels")
+    parsed = _parse_canonical(text)
+    if parsed is not None:
+        return LabelSets(*parsed)
     # int() strips whitespace too, but not \x1c-\x1f, which str.strip() removes
     lines = [line.strip() for line in text.removesuffix("\n").split("\n")]
     try:
@@ -193,6 +194,34 @@ def load_labels(path) -> LabelSets:
         raise _line_error(path, lines) from None
     counts = np.fromiter((line.count(",") + 1 for line in lines), dtype=np.int64, count=len(lines))
     return LabelSets(indptr=np.concatenate(([0], np.cumsum(counts))), ids=ids)
+
+
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _parse_canonical(text: str):
+    """(indptr, ids) of text in save_labels' form, or None for any other text.
+
+    The form: ASCII digits, commas and newlines, every token 1-18 digits (so
+    its value is exact in int64), no blank line, the final newline optional.
+    A token's value is the sum of its digits times 10^place, one reduceat.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.removesuffix("\n").encode("ascii"), dtype=np.uint8)
+    digits = buf - np.uint8(48)  # wraps, so every non-digit reads >= 10
+    seps = np.flatnonzero(digits >= 10)
+    newline = buf[seps] == 10
+    if not (newline | (buf[seps] == 44)).all():
+        return None
+    ends = np.append(seps, buf.size)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    at = np.flatnonzero(digits < 10)
+    place = ends[at - np.arange(at.size)] - 1 - at  # the i-th digit, at byte p, lies in token p - i
+    ids = np.add.reduceat(digits[at] * _POW10[place], np.cumsum(lengths) - lengths)
+    return np.concatenate(([0], np.flatnonzero(newline) + 1, [lengths.size])), ids
 
 
 def _line_error(path, lines) -> ValueError:

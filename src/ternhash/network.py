@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fileio import read_exact
+from ._fileio import read_exact, read_payload
 from .activation import (  # smooth_ternary_grad is unused here but stays importable: the benchmark traces it
     ActivationConfig,
     ContinuationSchedule,
@@ -32,10 +32,11 @@ from .activation import (  # smooth_ternary_grad is unused here but stays import
 )
 
 _CHECKPOINT_MAGIC = b"TNH1"
-# Rows per block of the inference forward. Blocks are near-equal, R to 2R-1
-# rows each, because a tiny block takes BLAS's matrix-vector path, whose
-# rounding differs from the matrix-matrix one.
-_ROW_BLOCK = 4096
+# Rows per block of the inference forward, so a 256-wide float32 block is
+# 1 MB and stays in L2. Blocks are near-equal, R to 2R-1 rows each, because a
+# tiny block takes BLAS's matrix-vector path, whose rounding differs from the
+# matrix-matrix one.
+_ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -384,6 +385,18 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     return net, logs
 
 
+def check_checkpoint_fields(cfg: NetworkConfig, schedule: ContinuationSchedule) -> None:
+    """Raise ValueError unless cfg and schedule fit save_checkpoint's fields: u64 seed, every other integer u32."""
+    if cfg.seed >= 2**64:
+        raise ValueError(f"seed {cfg.seed} does not fit a checkpoint: it must be below 2**64")
+    dims = cfg.layer_dims
+    if max(dims) >= 2**32:
+        raise ValueError(f"layer dims {dims} do not fit a checkpoint: each must be below 2**32")
+    ks = (cfg.activation.k, schedule.k_start, schedule.k_end, schedule.stride_epochs, schedule.total_epochs)
+    if max(ks) >= 2**32:
+        raise ValueError(f"k, k_start, k_end, stride and epochs {ks} do not fit a checkpoint: each must be below 2**32")
+
+
 def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
     """Write magic 'TNH1', the config block, then the flat parameters as float32 little-endian.
 
@@ -392,6 +405,7 @@ def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
     u32 k_start, u32 k_end, u32 stride_epochs, u32 total_epochs.
     """
     cfg = net.config
+    check_checkpoint_fields(cfg, schedule)
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", cfg.input_dim, len(cfg.hidden_dims)))
@@ -421,7 +435,5 @@ def load_checkpoint(path):
             seed=seed,
         )
         schedule = ContinuationSchedule(k_start=k_start, k_end=k_end, stride_epochs=stride, total_epochs=total)
-        raw = read_exact(fh, 4 * _num_params(cfg.layer_dims), "parameter payload")
-        if fh.read(1):
-            raise ValueError("trailing bytes after parameter payload")
-    return Network(config=cfg, flat=np.frombuffer(raw, dtype="<f4").astype(np.float32)), schedule
+        flat = read_payload(fh, (_num_params(cfg.layer_dims),), "<f4", "parameter payload")
+    return Network(config=cfg, flat=flat), schedule

@@ -180,8 +180,8 @@ def _rank(index: RetrievalIndex, query: np.ndarray, cut: int) -> tuple:
     Equal to a stable argsort of the distances cut at cut. For cut < n, the
     cut-th smallest distance t is found by a partition, and only the items
     within t, in id order, are stably sorted. Distances fit the smallest
-    unsigned dtype holding 2d; uint8 ones are partitioned as a uint16 copy,
-    for which numpy's partition is vectorized.
+    unsigned dtype holding 2d; the partition runs in place on a copy at least
+    uint16 wide, for which numpy's partition is vectorized.
     """
     dist = np.bitwise_count(index._scan ^ query)
     if dist.ndim == 2:
@@ -189,8 +189,9 @@ def _rank(index: RetrievalIndex, query: np.ndarray, cut: int) -> tuple:
     if cut == dist.size:
         order = np.argsort(dist, kind="stable")
     else:
-        wide = dist.astype(np.uint16) if dist.dtype == np.uint8 else dist
-        threshold = int(np.partition(wide, cut - 1)[cut - 1])
+        wide = dist.astype(np.promote_types(dist.dtype, np.uint16))
+        wide.partition(cut - 1)
+        threshold = int(wide[cut - 1])
         candidates = np.flatnonzero(dist <= threshold)
         order = candidates[np.argsort(dist[candidates], kind="stable")[:cut]]
     return order, dist[order]
@@ -238,6 +239,7 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
 
     normalization selects the AP denominator: "found" counts relevant items
     inside the top-k cut, "capped" uses min(total relevant in index, k).
+    Queries that share a label set share one relevance mask, built once.
     """
     if normalization not in ("found", "capped"):
         raise ValueError(f'normalization must be "found" or "capped", got {normalization!r}')
@@ -251,15 +253,18 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
     labels = LabelSets.of(query_labels)
     if not np.diff(labels.indptr).all():
         raise ValueError("every query needs at least one label")
-    bounds = labels.indptr.tolist()
-    aps = []
-    for query, a, b in zip(_scan_rows(queries), bounds, bounds[1:]):
-        relevant = index._relevant(labels.ids[a:b])
-        order, _ = _rank(index, query, cut)
-        total = None
-        if normalization == "capped":
-            total = min(int(np.count_nonzero(relevant)), cut)
-        aps.append(average_precision(relevant[order], cut, total_relevant=total))
+    ids, bounds = labels.ids.tolist(), labels.indptr.tolist()
+    groups = {}  # rows are sorted and distinct, so equal sets give equal tuples
+    for q, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        groups.setdefault(tuple(ids[a:b]), []).append(q)
+    scan = _scan_rows(queries)
+    aps = [0.0] * len(queries)
+    for label_set, members in groups.items():
+        relevant = index._relevant(np.array(label_set, dtype=np.int64))
+        total = min(int(np.count_nonzero(relevant)), cut) if normalization == "capped" else None
+        for q in members:
+            order, _ = _rank(index, scan[q], cut)
+            aps[q] = average_precision(relevant[order], cut, total_relevant=total)
     acc = 0.0
     for ap in aps:
         acc += ap

@@ -270,6 +270,26 @@ def test_diverging_train_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "m.tnh").exists()
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        (dict(seeds=(2**64,)), "error: seed 18446744073709551616 does not fit a checkpoint"),
+        (dict(code_dim=2**32), "error: layer dims (8, 16, 4294967296, 3) do not fit a checkpoint"),
+        # fits the header's u32, but its parameters cannot be allocated (about 450 GiB)
+        (dict(hidden_dims=(4_000_000_000,)), "error: Unable to allocate"),
+    ],
+    ids=["seed", "code_dim", "hidden_dims"],
+)
+def test_train_that_cannot_be_saved_or_allocated_fails_before_any_epoch(tmp_path, capsys, over, message):
+    cfg = write_tiny_config(tmp_path / "big.cfg", **over)
+    code, out, err = run(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "m.tnh"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.tnh").exists()
+
+
 def rows_around_a_threshold(net, feats):
     """Float32 rows a few ulps from a point where one hash unit crosses +alpha.
 

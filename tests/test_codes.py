@@ -163,6 +163,32 @@ def random_trits(rng, n, d):
     return rng.integers(-1, 2, size=(n, d)).astype(np.int8)
 
 
+def reference_load_codes(path):
+    """load_codes as it read before: the payload as bytes, then read-only frombuffer planes."""
+    raw = path.read_bytes()
+    n, d = struct.unpack("<II", raw[4:12])
+    planes = np.frombuffer(raw[12:], dtype="<u8").reshape(n, 2, (d + 63) // 64)
+    return CodeMatrix(pos=planes[:, 0], neg=planes[:, 1], d=d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("d", [1, 32, 64, 70, 130])
+def test_load_codes_returns_the_planes_it_returned_before(tmp_path, n, d):
+    # one read into the array: same dtype, shape, bytes and flags (a one-code file's planes stay read-only views)
+    path = tmp_path / "x.tnc"
+    save_codes(path, pack_matrix(random_trits(np.random.default_rng(n * d), n, d)))
+    got, want = load_codes(path), reference_load_codes(path)
+    for a, b in ((got.pos, want.pos), (got.neg, want.neg)):
+        assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), b.flags.writeable)
+    raw = path.read_bytes()
+    for blob, message in ((raw[:-3], f"truncated code payload: needs {len(raw) - 12} bytes, {len(raw) - 15} left"),
+                          (raw + b"\0", "trailing bytes after code payload")):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as exc:
+            load_codes(path)
+        assert str(exc.value) == message
+
+
 def test_pack_matrix_matches_row_by_row_pack():
     rng = np.random.default_rng(10)
     for d in (1, 16, 63, 64, 65, 70, 130):

@@ -16,6 +16,7 @@ from ternhash.harness import (
     save_splits,
     single_labels,
 )
+from ternhash.harness.data import _parse_canonical
 
 
 def tiny_dataset():
@@ -169,6 +170,22 @@ def test_features_file_errors(tmp_path):
         save_features(tmp_path / "e.tfv", np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (300, 64)])
+def test_load_features_returns_the_array_it_returned_before(tmp_path, shape):
+    # one read into the array: same dtype, shape, bytes and a writable array, as the frombuffer copy gave
+    path = tmp_path / "x.tfv"
+    save_features(path, np.random.default_rng(2).normal(size=shape).astype(np.float32))
+    raw = path.read_bytes()
+    got, want = load_features(path), np.frombuffer(raw[12:], dtype="<f4").astype(np.float32).reshape(shape)
+    assert (got.dtype, got.shape, got.tobytes(), got.flags.writeable) == (want.dtype, want.shape, want.tobytes(), True)
+    for blob, message in ((raw[:-3], f"truncated feature payload: needs {len(raw) - 12} bytes, {len(raw) - 15} left"),
+                          (raw + b"\0", "trailing bytes after feature payload")):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as exc:
+            load_features(path)
+        assert str(exc.value) == message
+
+
 @settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_features_file_corruption_loads_exactly_or_raises_value_error(tmp_path, data):
@@ -309,6 +326,42 @@ def test_load_labels_then_save_labels_is_byte_identical(tmp_path):
     save_labels(path, [set(rng.choice(40, size=rng.integers(1, 4), replace=False).tolist()) for _ in range(300)])
     save_labels(tmp_path / "again.labels", load_labels(path))
     assert (tmp_path / "again.labels").read_bytes() == path.read_bytes()
+
+
+_DIGITS = st.integers(1, 19).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(_DIGITS, min_size=1, max_size=4), min_size=1, max_size=8), final_newline=st.booleans())
+def test_canonical_labels_parse_as_arrays_like_the_line_parser(tmp_path, rows, final_newline):
+    # save_labels' form, leading zeros included; tokens of 1-18 digits take the array parser, 19-digit ones int()
+    text = "\n".join(",".join(row) for row in rows) + ("\n" if final_newline else "")
+    path = tmp_path / "x.labels"
+    path.write_bytes(text.encode())
+    assert (_parse_canonical(text) is not None) == all(len(tok) <= 18 for row in rows for tok in row)
+    assert_loads_like_reference(path)
+
+
+def test_canonical_labels_are_exact_at_eighteen_digits(tmp_path):
+    path = tmp_path / "x.labels"
+    path.write_bytes(b"999999999999999999,000000000000000001\n0,10,100000000000000000\n")
+    loaded = load_labels(path)
+    assert loaded.indptr.tolist() == [0, 2, 5]
+    assert loaded.ids.tolist() == [1, 999999999999999999, 0, 10, 10**17]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1234567890123456789\n", "9999999999999999999\n", "1,2\r\n3\r\n", "1, 2\n", " 3\n", "+7\n", "1_0\n",
+     "\u0663\n", "1\n\n2\n", "1\n2\n\n"],
+    ids=["19-digit", "19-digit-overflow", "crlf", "space", "leading-space", "plus", "underscore", "arabic-indic",
+         "blank-line", "trailing-blank-line"],
+)
+def test_non_canonical_labels_load_or_fail_as_the_line_parser_does(tmp_path, text):
+    assert _parse_canonical(text) is None
+    path = tmp_path / "x.labels"
+    path.write_bytes(text.encode())
+    assert_loads_like_reference(path)
 
 
 _LABEL_INSERTS = [b",", b"\n", b"\r", b" ", b"+", b"-", b"_", b"7", b"\x1c", "\u00e9".encode(), "\u0663".encode(),

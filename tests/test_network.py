@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -628,12 +630,15 @@ def test_hash_features_keeps_no_layer_caches():
     feats = np.random.default_rng(6).normal(size=(20_000, 64)).astype(np.float32)
     tracemalloc.start()
     try:
-        hash_features(net, feats)
+        out = hash_features(net, feats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the cached training forward peaks near 85 MB here
     assert peak < 16e6
+    # besides the output, two 256-wide float32 blocks of at most 2R-1 rows are alive at once:
+    # about 2.2 MB at R = 1024, 4.6 MB at 2048 and 10.3 MB at 4096, which overflows a 2 MB L2
+    assert peak - out.nbytes < 3e6
 
 
 def forward_quantization_error(net, feats, k):
@@ -685,6 +690,44 @@ def test_checkpoint_payload_is_the_flat_vector_in_layer_order(tmp_path):
         path.write_bytes(raw[:-4])
         with pytest.raises(ValueError, match="truncated parameter payload"):
             load_checkpoint(path)
+
+
+def test_load_checkpoint_returns_the_parameters_it_returned_before(tmp_path):
+    # one read into the array: same dtype, shape, bytes and a writable vector, as the frombuffer copy gave
+    path = tmp_path / "model.tnh"
+    for cfg in (SMALL, DEEP, WIDE):
+        save_checkpoint(path, Network.initialize(cfg), quick_train_cfg().schedule)
+        raw = path.read_bytes()
+        flat = load_checkpoint(path)[0].flat
+        want = np.frombuffer(raw[-4 * flat.size :], dtype="<f4").astype(np.float32)
+        assert (flat.dtype, flat.shape, flat.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert flat.flags.writeable
+    for blob, message in ((raw[:-3], f"truncated parameter payload: needs {want.nbytes} bytes, {want.nbytes - 3} left"),
+                          (raw + b"\0", "trailing bytes after parameter payload")):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == message
+
+
+def test_checkpoint_fields_are_checked_before_the_file_is_written(tmp_path):
+    schedule = quick_train_cfg().schedule
+    path = tmp_path / "model.tnh"
+    for over, message in (
+        (dict(seed=2**64), "seed 18446744073709551616 does not fit a checkpoint"),
+        (dict(code_dim=2**32), "layer dims (3, 5, 4294967296, 3) do not fit a checkpoint"),
+        (dict(num_classes=2**32), "layer dims (3, 5, 4, 4294967296) do not fit a checkpoint"),
+    ):
+        cfg = dataclasses.replace(SMALL, **over)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            network.check_checkpoint_fields(cfg, schedule)
+    network.check_checkpoint_fields(dataclasses.replace(SMALL, seed=2**64 - 1, input_dim=2**32 - 1), schedule)
+    with pytest.raises(ValueError, match="k_end"):
+        network.check_checkpoint_fields(SMALL, dataclasses.replace(schedule, k_end=2**32 + 1))
+    net = Network(config=dataclasses.replace(SMALL, seed=2**64), flat=Network.initialize(SMALL).flat)
+    with pytest.raises(ValueError, match="seed"):
+        save_checkpoint(path, net, schedule)
+    assert not path.exists()
 
 
 def test_checkpoint_errors(tmp_path):

@@ -266,6 +266,37 @@ def test_ranking_equals_reference_on_tie_heavy_codes(data, d, n, seed):
         assert report.map == mean
 
 
+@pytest.mark.parametrize("d", [16, 70])
+def test_queries_sharing_a_label_set_score_like_the_reference(d, monkeypatch):
+    # the same sets given in different orders and with repeats, and labels the index never holds (classes 0-4)
+    rng = np.random.default_rng(300 + d)
+    codes, labels = tied_instance(rng, 150, d)
+    qcodes, _ = tied_instance(rng, 24, d)
+    given_sets = [[1, 3], [3, 1], [3, 1, 3], [2], [2, 2], [7], [9, 8], [8, 9], [4, 7], [7, 4], [0, 1, 2, 3, 4]]
+    rows = [given_sets[i % len(given_sets)] for i in range(len(qcodes))]
+    qlabels = [frozenset(row) for row in rows]
+    csr = LabelSets(indptr=np.cumsum([0] + [len(row) for row in rows]), ids=np.concatenate(rows))
+    index = RetrievalIndex(codes=codes, labels=labels)
+    masks, relevant = [], RetrievalIndex._relevant
+
+    def counted(self, query_labels):
+        masks.append(query_labels.tolist())
+        return relevant(self, query_labels)
+
+    monkeypatch.setattr(RetrievalIndex, "_relevant", counted)
+    for k in (1, tie_cut(codes, qcodes[0]), 100, "all"):
+        for normalization in ("found", "capped"):
+            aps, mean = reference_mean_ap(codes, labels, qcodes, qlabels, k, normalization)
+            for query_labels in (rows, csr):
+                masks.clear()
+                report = mean_ap(index, qcodes, query_labels, k, normalization=normalization)
+                assert report.per_query_ap == aps
+                assert report.map == mean
+                # one relevance mask per distinct set, in order of first use
+                assert masks == [[1, 3], [2], [7], [8, 9], [4, 7], [0, 1, 2, 3, 4]]
+    assert aps[5] == aps[6] == 0.0
+
+
 def test_mean_ap_topk_memory_stays_small():
     n, d = 20_000, 32
     rng = np.random.default_rng(9)
