@@ -12,8 +12,7 @@ import numpy as np
 def _check_claim(fh, n: int, what: str) -> None:
     """On a regular file, check that n bytes are left, so a corrupt header cannot make the reader allocate its size."""
     st = os.fstat(fh.fileno())
-    left = st.st_size - fh.tell()
-    if stat.S_ISREG(st.st_mode) and n > left:
+    if stat.S_ISREG(st.st_mode) and n > (left := st.st_size - fh.tell()):
         raise ValueError(f"truncated {what}: needs {n} bytes, {left} left")
 
 

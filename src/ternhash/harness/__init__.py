@@ -18,6 +18,7 @@ from .experiment import (
     TwoStepResult,
     encode_dataset,
     format_experiment_report,
+    run_arm,
     run_experiment,
     run_seed,
     seed_setup,
@@ -44,6 +45,7 @@ __all__ = [
     "TwoStepResult",
     "encode_dataset",
     "format_experiment_report",
+    "run_arm",
     "run_experiment",
     "run_seed",
     "seed_setup",

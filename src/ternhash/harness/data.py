@@ -1,6 +1,7 @@
 """Datasets: synthetic Gaussian clusters, split bookkeeping, and feature/label file formats.
 
-A dataset is one feature matrix plus per-item label sets and three id lists.
+A dataset is one feature matrix plus per-item label sets (one LabelSets) and
+three id lists.
 Query and retrieval ids never overlap; training ids are a subset of retrieval
 ids, matching the usual protocol where training images are drawn from the
 retrieval pool.
@@ -22,7 +23,7 @@ _FEATURES_MAGIC = b"TFV1"
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray
-    labels: list
+    labels: LabelSets
     train_ids: np.ndarray
     retrieval_ids: np.ndarray
     query_ids: np.ndarray
@@ -32,22 +33,22 @@ class Dataset:
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
             raise ValueError(f"features must be a non-empty [n x dim] matrix, got shape {feats.shape}")
         n = feats.shape[0]
-        labels = [frozenset(ls) for ls in self.labels]
+        labels = LabelSets.of(self.labels)
         if len(labels) != n:
             raise ValueError(f"{n} feature rows vs {len(labels)} label sets")
-        if any(not ls or any(not isinstance(l, (int, np.integer)) or l < 0 for l in ls) for ls in labels):
+        if not np.diff(labels.indptr).all() or labels.ids.min() < 0:
             raise ValueError("every item needs a non-empty set of non-negative integer labels")
         ids = {}
         for name in ("train_ids", "retrieval_ids", "query_ids"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
-            if arr.ndim != 1 or len(set(arr.tolist())) != arr.size:
+            if arr.ndim != 1 or np.unique(arr).size != arr.size:
                 raise ValueError(f"{name} must be a 1-d list of distinct ids")
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise ValueError(f"{name} out of range [0, {n})")
             ids[name] = arr
-        if set(ids["query_ids"].tolist()) & set(ids["retrieval_ids"].tolist()):
+        if np.isin(ids["query_ids"], ids["retrieval_ids"]).any():
             raise ValueError("query and retrieval ids must not overlap")
-        if not set(ids["train_ids"].tolist()) <= set(ids["retrieval_ids"].tolist()):
+        if not np.isin(ids["train_ids"], ids["retrieval_ids"]).all():
             raise ValueError("train ids must be a subset of retrieval ids")
         if not (ids["train_ids"].size and ids["retrieval_ids"].size and ids["query_ids"].size):
             raise ValueError("train, retrieval, and query splits must all be non-empty")
@@ -62,11 +63,11 @@ class Dataset:
 
     @property
     def num_classes(self) -> int:
-        return 1 + max(max(ls) for ls in self.labels)
+        return int(self.labels.ids.max()) + 1
 
     def subset(self, ids) -> tuple:
-        """(features, label sets) for an id list, in order."""
-        return self.features[ids], [self.labels[i] for i in ids]
+        """(features, LabelSets) for an id list or array, in order."""
+        return self.features[ids], self.labels[ids]
 
 
 def single_labels(labels) -> np.ndarray:
@@ -75,12 +76,12 @@ def single_labels(labels) -> np.ndarray:
     The training loss is single-class cross-entropy, so multi-label items can
     be indexed and queried but not trained on.
     """
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, ls in enumerate(labels):
-        if len(ls) != 1:
-            raise ValueError(f"item {i} has {len(ls)} labels; training requires exactly one")
-        out[i] = next(iter(ls))
-    return out
+    labels = LabelSets.of(labels)
+    counts = np.diff(labels.indptr)
+    if (counts != 1).any():
+        i = int(np.argmax(counts != 1))
+        raise ValueError(f"item {i} has {counts[i]} labels; training requires exactly one")
+    return labels.ids.copy()
 
 
 def gen_synthetic(
@@ -120,22 +121,17 @@ def gen_synthetic(
     centers = rng.standard_normal((classes, input_dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     features = np.empty((classes * per_class, input_dim), dtype=np.float32)
-    labels = []
-    train_ids, retrieval_ids, query_ids = [], [], []
+    perms = np.empty((classes, per_class), dtype=np.int64)
     for c in range(classes):
         block = centers[c] + spread * rng.standard_normal((per_class, input_dim))
         features[c * per_class : (c + 1) * per_class] = block.astype(np.float32)
-        labels.extend(frozenset({c}) for _ in range(per_class))
-        perm = rng.permutation(per_class) + c * per_class
-        query_ids.extend(perm[:n_query].tolist())
-        retrieval_ids.extend(perm[n_query:].tolist())
-        train_ids.extend(perm[n_query : n_query + n_train].tolist())
+        perms[c] = rng.permutation(per_class) + c * per_class
     return Dataset(
         features=features,
-        labels=labels,
-        train_ids=np.array(train_ids),
-        retrieval_ids=np.array(retrieval_ids),
-        query_ids=np.array(query_ids),
+        labels=LabelSets(indptr=np.arange(classes * per_class + 1), ids=np.repeat(np.arange(classes), per_class)),
+        train_ids=perms[:, n_query : n_query + n_train].ravel(),
+        retrieval_ids=perms[:, n_query:].ravel(),
+        query_ids=perms[:, :n_query].ravel(),
     )
 
 
@@ -164,13 +160,12 @@ def load_features(path) -> np.ndarray:
 
 def save_labels(path, labels) -> None:
     """One line per item: comma-separated integer labels, sorted ascending."""
-    lines = []
-    for ls in labels:
-        if not ls:
-            raise ValueError("every item needs at least one label")
-        lines.append(",".join(str(l) for l in sorted(ls)))
+    labels = LabelSets.of(labels)
+    if not np.diff(labels.indptr).all():
+        raise ValueError("every item needs at least one label")
+    ids, bounds = list(map(str, labels.ids.tolist())), labels.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(",".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])) + "\n")
 
 
 def load_labels(path) -> LabelSets:
@@ -263,7 +258,7 @@ def load_splits(prefix) -> Dataset:
     parts = {}
     for name in ("train", "retrieval", "query"):
         feats = load_features(f"{prefix}.{name}.tfv")
-        labels = list(load_labels(f"{prefix}.{name}.labels"))
+        labels = load_labels(f"{prefix}.{name}.labels")
         if feats.shape[0] != len(labels):
             raise ValueError(f"{prefix}.{name}: {feats.shape[0]} feature rows vs {len(labels)} label lines")
         parts[name] = (feats, labels)
@@ -272,25 +267,23 @@ def load_splits(prefix) -> Dataset:
         raise ValueError(f"split feature dims disagree: {sorted(dims)}")
     r_feats, r_labels = parts["retrieval"]
     q_feats, q_labels = parts["query"]
-    features = np.concatenate([r_feats, q_feats])
-    labels = r_labels + q_labels
-    retrieval_ids = np.arange(r_feats.shape[0])
-    query_ids = np.arange(q_feats.shape[0]) + r_feats.shape[0]
-
     by_row = {}
-    for i in range(r_feats.shape[0]):
-        by_row.setdefault((r_feats[i].tobytes(), r_labels[i]), []).append(i)
+    for i, key in enumerate(zip(map(np.ndarray.tobytes, r_feats), r_labels)):
+        by_row.setdefault(key, []).append(i)
     train_ids = []
     t_feats, t_labels = parts["train"]
-    for i in range(t_feats.shape[0]):
-        candidates = by_row.get((t_feats[i].tobytes(), t_labels[i]))
+    for i, key in enumerate(zip(map(np.ndarray.tobytes, t_feats), t_labels)):
+        candidates = by_row.get(key)
         if not candidates:
             raise ValueError(f"training row {i} does not appear in the retrieval split")
         train_ids.append(candidates.pop(0))
     return Dataset(
-        features=features,
-        labels=labels,
+        features=np.concatenate([r_feats, q_feats]),
+        labels=LabelSets(
+            indptr=np.concatenate((r_labels.indptr, r_labels.indptr[-1] + q_labels.indptr[1:])),
+            ids=np.concatenate((r_labels.ids, q_labels.ids)),
+        ),
         train_ids=np.array(train_ids),
-        retrieval_ids=retrieval_ids,
-        query_ids=query_ids,
+        retrieval_ids=np.arange(len(r_labels)),
+        query_ids=np.arange(len(q_labels)) + len(r_labels),
     )

@@ -3,8 +3,9 @@
 Per seed, both arms share one dataset and identical hyperparameters. The
 continuation arm trains through the smoothed ternary activation while its
 exponent sharpens; the baseline trains the same network with an identity hash
-head and thresholds afterwards. Both encode the retrieval and query splits
-with the same hard quantizer and are scored by the same mAP path.
+head and thresholds afterwards. Each arm is one run_arm call: it encodes the
+retrieval and query splits with the same hard quantizer and scores them by the
+same mAP path.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..network import (
     quantization_error,
     train,
 )
-from ..retrieval import LabelSets, RetrievalIndex, _resolve_k, mean_ap
+from ..retrieval import RetrievalIndex, _resolve_k, mean_ap
 from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_splits, single_labels
 
@@ -40,16 +41,17 @@ class TwoStepResult:
     query_codes: CodeMatrix
 
 
+def _train_and_encode(dataset: Dataset, net_cfg, train_cfg, ternary: bool, epoch_hook=None) -> tuple:
+    """(network, logs, retrieval codes, query codes) of one arm trained on the training split."""
+    feats, label_sets = dataset.subset(dataset.train_ids)
+    net, logs = train(net_cfg, train_cfg, feats, single_labels(label_sets), ternary=ternary, epoch_hook=epoch_hook)
+    codes = [encode_dataset(net, dataset.features[ids]) for ids in (dataset.retrieval_ids, dataset.query_ids)]
+    return net, logs, *codes
+
+
 def two_step_baseline(dataset: Dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig) -> TwoStepResult:
     """Learn features with an identity hash head, then threshold them into codes."""
-    feats, label_sets = dataset.subset(dataset.train_ids)
-    net, logs = train(net_cfg, train_cfg, feats, single_labels(label_sets), ternary=False)
-    return TwoStepResult(
-        network=net,
-        logs=logs,
-        retrieval_codes=encode_dataset(net, dataset.subset(dataset.retrieval_ids)[0]),
-        query_codes=encode_dataset(net, dataset.subset(dataset.query_ids)[0]),
-    )
+    return TwoStepResult(*_train_and_encode(dataset, net_cfg, train_cfg, ternary=False))
 
 
 @dataclass(frozen=True)
@@ -122,41 +124,42 @@ def seed_setup(cfg: ExperimentConfig, seed: int) -> tuple:
     return dataset, net_cfg, train_cfg
 
 
+def run_arm(dataset: Dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, eval_k, ternary: bool) -> tuple:
+    """(mAP, logs, stage ends) of one arm: train, encode both splits, index, score.
+
+    A stage end is (epoch, k, quantization error over the retrieval split),
+    taken at the last epoch of each constant-k stretch; the two-step arm has
+    one, its last epoch, with k None.
+    """
+    retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
+    ends = _stage_end_epochs(train_cfg.schedule, train_cfg.epochs) if ternary else [train_cfg.epochs - 1]
+    stages = []
+
+    def snapshot(net, entry):
+        if entry.epoch in ends:
+            stages.append((entry.epoch, entry.k, quantization_error(net, retrieval_feats, entry.k)))
+
+    _, logs, retrieval_codes, query_codes = _train_and_encode(dataset, net_cfg, train_cfg, ternary, snapshot)
+    index = RetrievalIndex(codes=retrieval_codes, labels=retrieval_labels)
+    return mean_ap(index, query_codes, dataset.labels[dataset.query_ids], eval_k).map, logs, stages
+
+
 def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     """Train and evaluate both arms for one seed."""
     dataset, net_cfg, train_cfg = seed_setup(cfg, seed)
-    train_feats, train_label_sets = dataset.subset(dataset.train_ids)
-    retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
-    query_feats, query_labels = dataset.subset(dataset.query_ids)
-    retrieval_labels, query_labels = LabelSets.of(retrieval_labels), LabelSets.of(query_labels)
-
-    stage_ends = _stage_end_epochs(train_cfg.schedule, cfg.epochs)
-    stage_errors = {}
-
-    def snapshot(net, entry):
-        if entry.epoch in stage_ends:
-            stage_errors[entry.epoch] = (entry.k, quantization_error(net, retrieval_feats, entry.k))
-
-    cont_net, cont_logs = train(
-        net_cfg, train_cfg, train_feats, single_labels(train_label_sets), ternary=True, epoch_hook=snapshot
-    )
-    cont_index = RetrievalIndex(codes=encode_dataset(cont_net, retrieval_feats), labels=retrieval_labels)
-    cont_report = mean_ap(cont_index, encode_dataset(cont_net, query_feats), query_labels, cfg.eval_k)
-
-    base = two_step_baseline(dataset, net_cfg, train_cfg)
-    base_index = RetrievalIndex(codes=base.retrieval_codes, labels=retrieval_labels)
-    base_report = mean_ap(base_index, base.query_codes, query_labels, cfg.eval_k)
-
+    cont_map, cont_logs, stages = run_arm(dataset, net_cfg, train_cfg, cfg.eval_k, ternary=True)
+    base_map, base_logs, [(_, _, base_error)] = run_arm(dataset, net_cfg, train_cfg, cfg.eval_k, ternary=False)
+    epochs, ks, errors = zip(*stages)
     return SeedResult(
         seed=seed,
-        stage_epochs=tuple(stage_ends),
-        stage_ks=tuple(stage_errors[e][0] for e in stage_ends),
-        stage_quant_errors=tuple(stage_errors[e][1] for e in stage_ends),
-        continuation_map=cont_report.map,
-        two_step_map=base_report.map,
-        two_step_quant_error=quantization_error(base.network, retrieval_feats, None),
+        stage_epochs=epochs,
+        stage_ks=ks,
+        stage_quant_errors=errors,
+        continuation_map=cont_map,
+        two_step_map=base_map,
+        two_step_quant_error=base_error,
         continuation_logs=cont_logs,
-        two_step_logs=base.logs,
+        two_step_logs=base_logs,
     )
 
 

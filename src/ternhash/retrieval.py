@@ -31,8 +31,8 @@ class LabelSets(Sequence):
 
     Construction sorts each row and drops its repeats, so rows are ascending
     and distinct. A read-only sequence of frozenset: an int index gives one
-    set, a slice gives a LabelSets, and it equals any sequence of sets with
-    the same rows.
+    set, a slice or an integer index array gives a LabelSets, and it equals
+    any sequence of sets with the same rows.
     """
 
     indptr: np.ndarray
@@ -78,7 +78,7 @@ class LabelSets(Sequence):
         return self.indptr.size - 1
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
+        if isinstance(i, slice) or np.ndim(i) == 1:
             starts, counts = self.indptr[:-1][i], np.diff(self.indptr)[i]
             indptr = np.concatenate(([0], np.cumsum(counts)))
             take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ternhash import LabelSets
 from ternhash.harness import (
     Dataset,
     gen_synthetic,
@@ -19,10 +20,13 @@ from ternhash.harness import (
 from ternhash.harness.data import _parse_canonical
 
 
+TINY_LABELS = [frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}), frozenset({0, 1}), frozenset({1})]
+
+
 def tiny_dataset():
     return Dataset(
         features=np.arange(12, dtype=np.float32).reshape(6, 2),
-        labels=[{0}, {0}, {1}, {1}, {0, 1}, {1}],
+        labels=[set(ls) for ls in TINY_LABELS],
         train_ids=[0, 2],
         retrieval_ids=[0, 1, 2, 3],
         query_ids=[4, 5],
@@ -44,30 +48,83 @@ def test_dataset_validation():
     feats = np.zeros((4, 2), dtype=np.float32)
     ok = dict(labels=[{0}] * 4, train_ids=[0], retrieval_ids=[0, 1], query_ids=[2, 3])
     Dataset(features=feats, **ok)
-    with pytest.raises(ValueError):
-        Dataset(features=np.zeros((0, 2)), **ok)
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "labels": [{0}] * 3})
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "labels": [{0}, set(), {0}, {0}]})
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "labels": [{0}, {-1}, {0}, {0}]})
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "query_ids": [1, 2]})  # overlaps retrieval
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "train_ids": [3]})  # not in retrieval
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "retrieval_ids": [0, 0]})
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "query_ids": [2, 7]})
-    with pytest.raises(ValueError):
-        Dataset(features=feats, **{**ok, "train_ids": []})
+    Dataset(features=feats, **{**ok, "labels": LabelSets.of([{0}] * 4)})
+    label_rule = "every item needs a non-empty set of non-negative integer labels"
+    for over, message in (
+        ({"features": np.zeros((0, 2))}, "features must be a non-empty [n x dim] matrix, got shape (0, 2)"),
+        ({"features": np.zeros(4)}, "features must be a non-empty [n x dim] matrix, got shape (4,)"),
+        ({"labels": [{0}] * 3}, "4 feature rows vs 3 label sets"),
+        ({"labels": [{0}, set(), {0}, {0}]}, label_rule),
+        ({"labels": [{0}, {-1}, {0}, {0}]}, label_rule),
+        ({"labels": LabelSets(indptr=[0, 1, 1, 2, 3], ids=[0, 0, 0])}, label_rule),
+        # a non-integer label is LabelSets.of's error
+        ({"labels": [{0}, {1.5}, {0}, {0}]}, "labels must be integers"),
+        ({"labels": [{0}, {"a"}, {0}, {0}]}, "labels must be integers"),
+        ({"labels": [{0}, {2**63}, {0}, {0}]}, "labels must fit in a signed 64-bit integer"),
+        ({"query_ids": [1, 2]}, "query and retrieval ids must not overlap"),
+        ({"train_ids": [3]}, "train ids must be a subset of retrieval ids"),
+        ({"retrieval_ids": [0, 0]}, "retrieval_ids must be a 1-d list of distinct ids"),
+        ({"train_ids": [[0]]}, "train_ids must be a 1-d list of distinct ids"),
+        ({"query_ids": [2, 7]}, "query_ids out of range [0, 4)"),
+        ({"retrieval_ids": [-1, 0]}, "retrieval_ids out of range [0, 4)"),
+        ({"train_ids": []}, "train, retrieval, and query splits must all be non-empty"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            Dataset(**{"features": feats, **ok, **over})
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [np.array([4, 0, 5]), [4, 0, 5], np.arange(6)[::2], np.arange(6)[::-3], np.array([-1, 1]), [], np.arange(0)],
+)
+def test_dataset_subset_takes_index_arrays_and_lists(ids):
+    ds = tiny_dataset()
+    feats, labels = ds.subset(ids)
+    assert isinstance(labels, LabelSets)
+    assert labels == [TINY_LABELS[i] for i in ids]
+    assert list(labels) == [TINY_LABELS[i] for i in ids]
+    assert feats.tobytes() == ds.features[ids].tobytes()
+
+
+def test_dataset_subset_of_a_spread_of_ids():
+    # every n-th retrieval id, a strided view, as the benchmark's isolated calls take them
+    ds = gen_synthetic(4, 50, 6, 0.3, 3)
+    old = list(ds.labels)
+    for n in (7, 45, 1000):
+        ids = ds.retrieval_ids[:: max(1, len(ds.retrieval_ids) // n)][:n]
+        feats, labels = ds.subset(ids)
+        assert labels == [old[i] for i in ids]
+        assert feats.tobytes() == ds.features[ids].tobytes()
+
+
+def test_out_of_range_label_rows_raise_index_error():
+    ds = tiny_dataset()
+    for ids in (np.array([0, 6]), np.array([-7]), [2, 9]):
+        with pytest.raises(IndexError):
+            ds.labels[ids]
+        with pytest.raises(IndexError):
+            ds.subset(ids)
 
 
 def test_single_labels():
     assert single_labels([{3}, {0}, {7}]).tolist() == [3, 0, 7]
-    with pytest.raises(ValueError):
-        single_labels([{3}, {0, 1}])
+    assert single_labels(LabelSets.of([{3}, {0}, {7}])).tolist() == [3, 0, 7]
+    for labels, message in (
+        ([{3}, {0, 1}], "item 1 has 2 labels; training requires exactly one"),
+        ([{3}, {0}, set()], "item 2 has 0 labels; training requires exactly one"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            single_labels(labels)
+        assert str(exc.value) == message
+
+
+def test_single_labels_does_not_share_the_dataset_labels():
+    ds = gen_synthetic(3, 10, 4, 0.2, 1)
+    _, labels = ds.subset(ds.train_ids)
+    out = single_labels(labels)
+    out[:] = -1
+    assert labels == [frozenset({c}) for c in (np.asarray(ds.train_ids) // 10).tolist()]
 
 
 def test_gen_synthetic_determinism():
@@ -80,6 +137,40 @@ def test_gen_synthetic_determinism():
     assert np.array_equal(a.query_ids, b.query_ids)
     c = gen_synthetic(4, 30, 16, 0.2, 10)
     assert a.features.tobytes() != c.features.tobytes()
+
+
+def old_gen_synthetic(classes, per_class, input_dim, spread, seed, query_fraction=0.1, train_fraction=0.5):
+    """(features, labels, train, retrieval, query ids) as gen_synthetic built them one class at a time."""
+    n_query = round(query_fraction * per_class)
+    n_train = round(train_fraction * (per_class - n_query))
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((classes, input_dim))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    features, labels, train_ids, retrieval_ids, query_ids = [], [], [], [], []
+    for c in range(classes):
+        features.append((centers[c] + spread * rng.standard_normal((per_class, input_dim))).astype(np.float32))
+        labels.extend(frozenset({c}) for _ in range(per_class))
+        perm = rng.permutation(per_class) + c * per_class
+        query_ids.extend(perm[:n_query].tolist())
+        retrieval_ids.extend(perm[n_query:].tolist())
+        train_ids.extend(perm[n_query : n_query + n_train].tolist())
+    return np.concatenate(features), labels, train_ids, retrieval_ids, query_ids
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2, 0.4, 0.5), (5, 40, 8, 0.1, 0.5), (20, 111, 16, 0.025, 0.1)])
+def test_gen_synthetic_equals_the_per_class_build(shape):
+    classes, per_class, input_dim, query_fraction, train_fraction = shape
+    ds = gen_synthetic(classes, per_class, input_dim, 0.3, 7, query_fraction=query_fraction, train_fraction=train_fraction)
+    features, labels, train_ids, retrieval_ids, query_ids = old_gen_synthetic(
+        classes, per_class, input_dim, 0.3, 7, query_fraction, train_fraction
+    )
+    assert isinstance(ds.labels, LabelSets)
+    assert ds.labels == labels
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.train_ids.tolist() == train_ids
+    assert ds.retrieval_ids.tolist() == retrieval_ids
+    assert ds.query_ids.tolist() == query_ids
+    assert ds.num_classes == classes
 
 
 def test_gen_synthetic_layout_and_splits():
@@ -213,6 +304,20 @@ def test_labels_file_roundtrip(tmp_path):
     save_labels(path, labels)
     assert path.read_text() == "0,2\n1\n3,4,5\n"
     assert load_labels(path) == labels
+
+
+def test_save_labels_writes_the_same_bytes_from_label_sets_and_lists(tmp_path):
+    rows = [{2, 0}, {1}, {5, 3, 4}, {np.int64(7)}, {0, 9, 12345678901234}]
+    save_labels(tmp_path / "list.labels", rows)
+    save_labels(tmp_path / "csr.labels", LabelSets.of(rows))
+    save_labels(tmp_path / "frozen.labels", [frozenset(r) for r in rows])
+    want = b"0,2\n1\n3,4,5\n7\n0,9,12345678901234\n"
+    for name in ("list", "csr", "frozen"):
+        assert (tmp_path / f"{name}.labels").read_bytes() == want
+    save_labels(tmp_path / "empty.labels", [])
+    assert (tmp_path / "empty.labels").read_bytes() == b"\n"
+    with pytest.raises(ValueError, match="^every item needs at least one label$"):
+        save_labels(tmp_path / "bad.labels", [{1}, set()])
 
 
 def test_labels_file_errors(tmp_path):

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -6,18 +8,25 @@ from ternhash import (
     LabelSets,
     Network,
     NetworkConfig,
+    RetrievalIndex,
     hash_features,
     load_checkpoint,
+    mean_ap,
+    quantization_error,
     save_checkpoint,
     train,
 )
 from ternhash.harness import (
     ExperimentConfig,
+    SeedResult,
     encode_dataset,
+    experiment,
     format_experiment_report,
     gen_synthetic,
+    run_arm,
     run_experiment,
     run_seed,
+    save_splits,
     seed_setup,
     single_labels,
     two_step_baseline,
@@ -43,6 +52,57 @@ def tiny_config(**over):
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def file_config(tmp_path, **over):
+    """tiny_config reading the splits of a saved synthetic set (data_prefix mode)."""
+    prefix = str(tmp_path / "fixed")
+    save_splits(prefix, gen_synthetic(3, 30, 8, 0.2, 99))
+    cfg = tiny_config(**over).__dict__.copy()
+    for key in ("classes", "per_class", "input_dim", "spread", "query_fraction", "train_fraction"):
+        cfg.pop(key)
+    cfg["data_prefix"] = prefix
+    return ExperimentConfig(**cfg)
+
+
+def reference_run_seed(cfg, seed):
+    """run_seed composed as before run_arm: the continuation arm inline, the
+    two-step arm through two_step_baseline with its own index and mean_ap, and
+    its quantization error taken after training."""
+    dataset, net_cfg, train_cfg = seed_setup(cfg, seed)
+    train_feats, train_label_sets = dataset.subset(dataset.train_ids)
+    retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
+    query_feats, query_labels = dataset.subset(dataset.query_ids)
+    retrieval_labels, query_labels = LabelSets.of(retrieval_labels), LabelSets.of(query_labels)
+
+    stage_ends = _stage_end_epochs(train_cfg.schedule, cfg.epochs)
+    stage_errors = {}
+
+    def snapshot(net, entry):
+        if entry.epoch in stage_ends:
+            stage_errors[entry.epoch] = (entry.k, quantization_error(net, retrieval_feats, entry.k))
+
+    cont_net, cont_logs = train(
+        net_cfg, train_cfg, train_feats, single_labels(train_label_sets), ternary=True, epoch_hook=snapshot
+    )
+    cont_index = RetrievalIndex(codes=encode_dataset(cont_net, retrieval_feats), labels=retrieval_labels)
+    cont_report = mean_ap(cont_index, encode_dataset(cont_net, query_feats), query_labels, cfg.eval_k)
+
+    base = two_step_baseline(dataset, net_cfg, train_cfg)
+    base_index = RetrievalIndex(codes=base.retrieval_codes, labels=retrieval_labels)
+    base_report = mean_ap(base_index, base.query_codes, query_labels, cfg.eval_k)
+
+    return SeedResult(
+        seed=seed,
+        stage_epochs=tuple(stage_ends),
+        stage_ks=tuple(stage_errors[e][0] for e in stage_ends),
+        stage_quant_errors=tuple(stage_errors[e][1] for e in stage_ends),
+        continuation_map=cont_report.map,
+        two_step_map=base_report.map,
+        two_step_quant_error=quantization_error(base.network, retrieval_feats, None),
+        continuation_logs=cont_logs,
+        two_step_logs=base.logs,
+    )
 
 
 def test_stage_end_epochs_default_schedule():
@@ -89,7 +149,7 @@ def test_run_seed_shapes():
     assert all(e.k is None for e in r.two_step_logs)
 
 
-def test_run_seed_converts_each_split_to_label_sets_once(monkeypatch):
+def test_run_seed_converts_no_label_list(monkeypatch):
     convert = LabelSets.of.__func__
     converted = []
 
@@ -99,11 +159,45 @@ def test_run_seed_converts_each_split_to_label_sets_once(monkeypatch):
         return convert(cls, labels)
 
     cfg = tiny_config(query_fraction=0.2)
-    dataset, _, _ = seed_setup(cfg, 1)
     expected = run_seed(cfg, 1)
     monkeypatch.setattr(LabelSets, "of", classmethod(counting))
     assert run_seed(cfg, 1) == expected
-    assert converted == [len(dataset.retrieval_ids), len(dataset.query_ids)]
+    assert converted == []
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "files"])
+def test_run_seed_equals_the_reference_composition(tmp_path, monkeypatch, mode):
+    cfg = tiny_config(eval_k=20) if mode == "synthetic" else file_config(tmp_path, epochs=5)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for seed in (1, 2):
+        want = reference_run_seed(cfg, seed)
+        calls = collections.Counter()
+        with monkeypatch.context() as m:
+            for name in ("train", "quantization_error"):
+                m.setattr(experiment, name, counted(name, getattr(experiment, name)))
+            got = run_seed(cfg, seed)
+        assert got == want
+        # one error per stage end and one for the two-step arm: no full-set pass beyond them
+        assert calls == {"train": 2, "quantization_error": len(got.stage_epochs) + 1}
+
+
+def test_run_arm_takes_the_two_step_error_at_its_last_epoch():
+    cfg = tiny_config()
+    dataset, net_cfg, train_cfg = seed_setup(cfg, 1)
+    retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
+    base = two_step_baseline(dataset, net_cfg, train_cfg)
+    index = RetrievalIndex(codes=base.retrieval_codes, labels=retrieval_labels)
+    want_map = mean_ap(index, base.query_codes, dataset.labels[dataset.query_ids], cfg.eval_k).map
+    got_map, logs, stages = run_arm(dataset, net_cfg, train_cfg, cfg.eval_k, ternary=False)
+    assert got_map == want_map
+    assert logs == base.logs
+    assert stages == [(cfg.epochs - 1, None, quantization_error(base.network, retrieval_feats, None))]
 
 
 def test_zero_lr_makes_arms_identical():
@@ -160,16 +254,7 @@ def test_report_contents_and_determinism():
 
 
 def test_file_mode_uses_saved_splits(tmp_path):
-    ds = gen_synthetic(3, 30, 8, 0.2, 99)
-    from ternhash.harness import save_splits
-
-    prefix = str(tmp_path / "fixed")
-    save_splits(prefix, ds)
-    cfg = tiny_config().__dict__.copy()
-    for key in ("classes", "per_class", "input_dim", "spread", "query_fraction", "train_fraction"):
-        cfg.pop(key)
-    cfg["data_prefix"] = prefix
-    cfg = ExperimentConfig(**cfg)
+    cfg = file_config(tmp_path)
     r1 = run_seed(cfg, 1)
     r2 = run_seed(cfg, 2)
     # the dataset is fixed, so only the network seed differs between runs
