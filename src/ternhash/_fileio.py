@@ -1,4 +1,4 @@
-"""Checked reads for the binary file formats (.tnc, .tnh, .tfv) and the UTF-8 text ones."""
+"""Checked reads and copy-free payload writes for the binary file formats (.tnc, .tnh, .tfv), and UTF-8 text reads."""
 
 from __future__ import annotations
 
@@ -39,6 +39,13 @@ def read_payload(fh, shape: tuple, dtype: str, what: str) -> np.ndarray:
     if fh.read(1):
         raise ValueError(f"trailing bytes after {what}")
     return arr.astype(arr.dtype.newbyteorder("="), copy=False)
+
+
+def write_payload(path, header: bytes, arr, dtype: str) -> None:
+    """Write header, then arr as C-contiguous little-endian dtype, straight from its buffer when it already is one."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(np.ascontiguousarray(arr, dtype=dtype)).cast("B"))
 
 
 def read_text(path) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import read_exact, read_payload
+from ._fileio import read_exact, read_payload, write_payload
 
 _TRIT_BITS = {1: "10", 0: "00", -1: "01"}
 
@@ -203,10 +203,7 @@ def save_codes(path, codes) -> None:
     if not len(codes):
         raise ValueError("cannot save an empty code list")
     m = CodeMatrix.of(codes)
-    with open(path, "wb") as fh:
-        fh.write(_CODES_MAGIC)
-        fh.write(struct.pack("<II", len(m), m.d))
-        fh.write(np.concatenate([m.pos, m.neg], axis=1).astype("<u8").tobytes())
+    write_payload(path, _CODES_MAGIC + struct.pack("<II", len(m), m.d), np.concatenate([m.pos, m.neg], axis=1), "<u8")
 
 
 def load_codes(path) -> CodeMatrix:

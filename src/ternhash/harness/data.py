@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._fileio import read_exact, read_payload, read_text
+from .._fileio import read_exact, read_payload, read_text, write_payload
 from ..retrieval import LabelSets
 
 _FEATURES_MAGIC = b"TFV1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     features: np.ndarray
     labels: LabelSets
@@ -56,6 +56,13 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         for name, arr in ids.items():
             object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        arrays = ("features", "train_ids", "retrieval_ids", "query_ids")
+        return self.labels == other.labels and all(
+            np.array_equal(getattr(self, a), getattr(other, a), equal_nan=True) for a in arrays)
 
     @property
     def input_dim(self) -> int:
@@ -140,10 +147,7 @@ def save_features(path, features) -> None:
     arr = np.asarray(features, dtype=np.float32)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"features must be a non-empty [n x dim] matrix, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_FEATURES_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<f4").tobytes())
+    write_payload(path, _FEATURES_MAGIC + struct.pack("<II", *arr.shape), arr, "<f4")
 
 
 def load_features(path) -> np.ndarray:
@@ -265,25 +269,48 @@ def load_splits(prefix) -> Dataset:
     dims = {parts[name][0].shape[1] for name in parts}
     if len(dims) != 1:
         raise ValueError(f"split feature dims disagree: {sorted(dims)}")
-    r_feats, r_labels = parts["retrieval"]
-    q_feats, q_labels = parts["query"]
-    by_row = {}
-    for i, key in enumerate(zip(map(np.ndarray.tobytes, r_feats), r_labels)):
-        by_row.setdefault(key, []).append(i)
-    train_ids = []
-    t_feats, t_labels = parts["train"]
-    for i, key in enumerate(zip(map(np.ndarray.tobytes, t_feats), t_labels)):
-        candidates = by_row.get(key)
-        if not candidates:
-            raise ValueError(f"training row {i} does not appear in the retrieval split")
-        train_ids.append(candidates.pop(0))
+    (t_feats, t_labels), (r_feats, r_labels), (q_feats, q_labels) = parts.values()
+    train_ids = _match_rows(t_feats, t_labels, r_feats, r_labels)
     return Dataset(
         features=np.concatenate([r_feats, q_feats]),
-        labels=LabelSets(
-            indptr=np.concatenate((r_labels.indptr, r_labels.indptr[-1] + q_labels.indptr[1:])),
-            ids=np.concatenate((r_labels.ids, q_labels.ids)),
-        ),
-        train_ids=np.array(train_ids),
+        labels=_join(r_labels, q_labels),
+        train_ids=train_ids,
         retrieval_ids=np.arange(len(r_labels)),
         query_ids=np.arange(len(q_labels)) + len(r_labels),
     )
+
+
+def _join(a: LabelSets, b: LabelSets) -> LabelSets:
+    """The rows of a, then the rows of b."""
+    return LabelSets(indptr=np.concatenate((a.indptr, a.indptr[-1] + b.indptr[1:])), ids=np.concatenate((a.ids, b.ids)))
+
+
+def _match_rows(t_feats, t_labels, r_feats, r_labels) -> np.ndarray:
+    """The retrieval row of each training row: the i-th training row with a given
+    (row bytes, label set) takes the i-th retrieval row with the same pair."""
+    n = len(r_labels)
+    labels = _join(r_labels, t_labels)
+    # each set's ascending labels padded with its largest: no set pads to another, as sets hold no repeats
+    width = np.diff(labels.indptr).max()
+    sets = labels.ids[np.minimum(labels.indptr[:-1, None] + np.arange(width), labels.indptr[1:, None] - 1)]
+    (r_group, t_group), (r_set, t_set) = _groups(r_feats, t_feats), _groups(sets[:n], sets[n:])
+    # with n + 1, a training row's -1 (no equal retrieval row) never gives a retrieval row's key
+    r_key, t_key = r_group * (n + 1) + r_set, t_group * (n + 1) + t_set
+    by_key, t_order = np.argsort(r_key, kind="stable"), np.argsort(t_key, kind="stable")
+    first = np.searchsorted(r_key, t_key, sorter=by_key)
+    rank = np.empty_like(t_order)
+    rank[t_order] = np.arange(t_key.size)
+    rank -= np.searchsorted(t_key, t_key, sorter=t_order)  # now how many earlier training rows share the key
+    missing = rank >= np.searchsorted(r_key, t_key, side="right", sorter=by_key) - first
+    if missing.any():
+        raise ValueError(f"training row {int(np.argmax(missing))} does not appear in the retrieval split")
+    return by_key[first + rank]
+
+
+def _groups(pool: np.ndarray, items: np.ndarray) -> tuple:
+    """Group ids for the rows of two C-contiguous matrices, each row one np.void item (a view, not a copy):
+    equal pool rows share the sorted position of the first of them; an item row takes its pool row's id, or -1."""
+    pool, items = (a.view((np.void, a.itemsize * a.shape[1])).ravel() for a in (pool, items))
+    order = np.argsort(pool, kind="stable")
+    ids = np.searchsorted(pool, items, sorter=order).clip(max=pool.size - 1)
+    return np.searchsorted(pool, pool, sorter=order), np.where(pool[order[ids]] == items, ids, -1)

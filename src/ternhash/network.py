@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fileio import read_exact, read_payload
+from ._fileio import read_exact, read_payload, write_payload
 from .activation import (  # smooth_ternary_grad is unused here but stays importable: the benchmark traces it
     ActivationConfig,
     ContinuationSchedule,
@@ -406,14 +406,10 @@ def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
     """
     cfg = net.config
     check_checkpoint_fields(cfg, schedule)
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", cfg.input_dim, len(cfg.hidden_dims)))
-        fh.write(struct.pack(f"<{len(cfg.hidden_dims)}I", *cfg.hidden_dims))
-        fh.write(struct.pack("<IIQ", cfg.code_dim, cfg.num_classes, cfg.seed))
-        fh.write(struct.pack("<dIIIII", cfg.activation.alpha, cfg.activation.k,
-                             schedule.k_start, schedule.k_end, schedule.stride_epochs, schedule.total_epochs))
-        fh.write(net.flat.astype("<f4").tobytes())
+    header = struct.pack(f"<II{len(cfg.hidden_dims)}IIIQdIIIII", cfg.input_dim, len(cfg.hidden_dims), *cfg.hidden_dims,
+                         cfg.code_dim, cfg.num_classes, cfg.seed, cfg.activation.alpha, cfg.activation.k,
+                         schedule.k_start, schedule.k_end, schedule.stride_epochs, schedule.total_epochs)
+    write_payload(path, _CHECKPOINT_MAGIC + header, net.flat, "<f4")
 
 
 def load_checkpoint(path):

@@ -1,4 +1,6 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -535,3 +537,166 @@ def test_splits_dim_mismatch(tmp_path):
     save_labels(f"{prefix}.query.labels", [{0}, {1}])
     with pytest.raises(ValueError, match="dims"):
         load_splits(prefix)
+
+
+def test_dataset_equality_compares_the_arrays():
+    ds = gen_synthetic(3, 10, 4, 0.2, 1)
+    assert ds == gen_synthetic(3, 10, 4, 0.2, 1)
+    assert not ds != gen_synthetic(3, 10, 4, 0.2, 1)
+    assert ds != gen_synthetic(3, 10, 4, 0.2, 2)
+    assert ds != gen_synthetic(3, 10, 4, 0.2, 1, train_fraction=0.3)
+    assert ds != "dataset"
+    assert tiny_dataset() == tiny_dataset()
+    multi = Dataset(
+        features=tiny_dataset().features, labels=[{0}, {0}, {1}, {1}, {0}, {1}],
+        train_ids=[0, 2], retrieval_ids=[0, 1, 2, 3], query_ids=[4, 5],
+    )
+    assert tiny_dataset() != multi
+    features = tiny_dataset().features.copy()
+    features[1, 1] = np.nan
+    with_nan = Dataset(features=features, labels=TINY_LABELS, train_ids=[0, 2], retrieval_ids=[0, 1, 2, 3], query_ids=[4, 5])
+    assert with_nan == with_nan
+    assert with_nan != tiny_dataset()
+
+
+def reference_train_ids(prefix):
+    """load_splits' train_ids as the dict loop computed them: keyed by (row bytes, frozenset),
+    duplicates popped in order."""
+    t_feats, t_labels = load_features(f"{prefix}.train.tfv"), load_labels(f"{prefix}.train.labels")
+    r_feats, r_labels = load_features(f"{prefix}.retrieval.tfv"), load_labels(f"{prefix}.retrieval.labels")
+    by_row = {}
+    for i, key in enumerate(zip(map(np.ndarray.tobytes, r_feats), r_labels)):
+        by_row.setdefault(key, []).append(i)
+    train_ids = []
+    for i, key in enumerate(zip(map(np.ndarray.tobytes, t_feats), t_labels)):
+        candidates = by_row.get(key)
+        if not candidates:
+            raise ValueError(f"training row {i} does not appear in the retrieval split")
+        train_ids.append(candidates.pop(0))
+    return np.array(train_ids)
+
+
+def write_split_files(prefix, train, retrieval):
+    """The six split files from (row, label set) lists, with one query row."""
+    query = [(np.full(len(retrieval[0][0]), 9.0), {0})]
+    for name, rows in (("train", train), ("retrieval", retrieval), ("query", query)):
+        save_features(f"{prefix}.{name}.tfv", np.array([row for row, _ in rows], dtype=np.float32))
+        save_labels(f"{prefix}.{name}.labels", [labels for _, labels in rows])
+
+
+def assert_matches_like_the_dict(prefix):
+    """load_splits gives the dict loop's train_ids, or raises its ValueError; returns the ids or the message."""
+    try:
+        want = reference_train_ids(prefix)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_splits(prefix)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = load_splits(prefix).train_ids
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+# Float32 bit patterns that compare equal or unordered as floats but differ as bytes.
+BYTE_VALUES = np.array([0x00000000, 0x80000000, 0x7FC00000, 0x7FC00001, 0x3F800000], dtype=np.uint32).view(np.float32)
+
+
+def test_load_splits_matches_rows_like_the_dict_loop_on_duplicate_heavy_splits(tmp_path):
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for case in range(300):
+        dim = int(rng.integers(1, 4))
+        pool = BYTE_VALUES[rng.integers(0, BYTE_VALUES.size, (int(rng.integers(1, 4)), dim))]
+        sets = [{0}, {1}, {0, 1}, {2}, {1, 2}]
+        n = int(rng.integers(1, 25))
+        retrieval = [(pool[rng.integers(pool.shape[0])], sets[rng.integers(len(sets))]) for _ in range(n)]
+        train = [retrieval[i] for i in rng.integers(0, n, int(rng.integers(1, n + 3)))]
+        for i in range(len(train)):
+            if rng.random() < 0.05:  # bytes no retrieval row has
+                train[i] = (BYTE_VALUES[rng.integers(0, BYTE_VALUES.size, dim)], train[i][1])
+            elif rng.random() < 0.05:  # a label set next to the row's own
+                train[i] = (train[i][0], train[i][1] ^ {int(rng.integers(3))} or {3})
+        prefix = str(tmp_path / f"case{case}")
+        write_split_files(prefix, train, retrieval)
+        got = assert_matches_like_the_dict(prefix)
+        outcomes.add(type(got))
+    assert outcomes == {str, np.ndarray}
+
+
+def test_load_splits_uses_identical_rows_up_in_order(tmp_path):
+    a, b = [1.0, 2.0], [3.0, 4.0]
+    retrieval = [(a, {0}), (a, {0}), (b, {0}), (a, {0})]
+    write_split_files(tmp_path / "ok", [(a, {0}), (b, {0}), (a, {0}), (a, {0})], retrieval)
+    assert assert_matches_like_the_dict(tmp_path / "ok").tolist() == [0, 2, 1, 3]
+    write_split_files(tmp_path / "short", [(a, {0})] * 4, retrieval)
+    assert assert_matches_like_the_dict(tmp_path / "short") == "training row 3 does not appear in the retrieval split"
+
+
+def test_load_splits_tells_label_sets_of_the_same_bytes_apart(tmp_path):
+    a = [1.0, 2.0]
+    retrieval = [(a, {0}), (a, {1}), (a, {0, 1}), (a, {1, 2}), (a, {0, 1, 2}), (a, {2})]
+    train = [(a, {2}), (a, {0, 1, 2}), (a, {1}), (a, {0, 1}), (a, {0}), (a, {1, 2})]
+    write_split_files(tmp_path / "ok", train, retrieval)
+    assert assert_matches_like_the_dict(tmp_path / "ok").tolist() == [5, 4, 1, 2, 0, 3]
+    for i, labels in enumerate([{3}, {0, 2}, {0, 1, 2, 3}]):
+        write_split_files(tmp_path / f"bad{i}", [(a, {2}), (a, labels)], retrieval)
+        message = assert_matches_like_the_dict(tmp_path / f"bad{i}")
+        assert message == "training row 1 does not appear in the retrieval split"
+
+
+def test_load_splits_keeps_each_label_set_apart_from_its_padded_prefixes(tmp_path):
+    a = [0.5]
+    retrieval = [(a, {4}), (a, {4, 5}), (a, {3, 4}), (a, {3, 4, 5}), (a, {5})]
+    write_split_files(tmp_path / "ok", [(a, s) for s in ({3, 4, 5}, {5}, {4}, {3, 4}, {4, 5})], retrieval)
+    assert assert_matches_like_the_dict(tmp_path / "ok").tolist() == [3, 4, 0, 2, 1]
+    write_split_files(tmp_path / "bad", [(a, {4}), (a, {4})], retrieval)
+    assert assert_matches_like_the_dict(tmp_path / "bad") == "training row 1 does not appear in the retrieval split"
+
+
+def test_load_splits_keys_never_collide(tmp_path):
+    # A training row with known bytes and an unknown label set, keyed as if the set id
+    # were one below the first, must not land on the row that sorts before it by bytes.
+    write_split_files(tmp_path / "sets", [([1.0], {3})], [([0.0], {2}), ([1.0], {1})])
+    # A set must not equal a longer one it is a prefix of, negative labels included.
+    write_split_files(tmp_path / "negative", [([1.0], {-5})], [([1.0], {-5, -1})])
+    for case in ("sets", "negative"):
+        assert assert_matches_like_the_dict(tmp_path / case) == "training row 0 does not appear in the retrieval split"
+
+
+def test_load_splits_names_the_first_unmatched_row_in_training_order(tmp_path):
+    a, b, c = [1.0, 0.0], [2.0, 0.0], [1.0, -0.0]
+    retrieval = [(b, {0}), (a, {0}), (b, {1})]
+    for train, first in [
+        ([(b, {0}), (a, {1}), (c, {0}), (a, {0})], 1),  # labels, then bytes (-0.0 is not 0.0)
+        ([(a, {0}), (b, {0}), (c, {0}), (a, {1})], 2),  # bytes, then labels
+        ([(b, {1}), (b, {0}), (b, {0}), (a, {0}), (a, {0})], 2),  # used up, a later key used up too
+        ([(a, {0}), (a, {0})], 1),
+    ]:
+        write_split_files(tmp_path / "case", train, retrieval)
+        message = assert_matches_like_the_dict(tmp_path / "case")
+        assert message == f"training row {first} does not appear in the retrieval split"
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_splits_holds_no_per_row_objects(tmp_path):
+    prefix = str(tmp_path / "big")
+    save_splits(prefix, gen_synthetic(20, 1110, 64, 0.15, 3, query_fraction=0.025, train_fraction=0.1))
+    # 6.2 MB of payloads, and 5.7 MB more for the retrieval+query matrix the Dataset keeps;
+    # the dict of row bytes, tuples and frozensets peaked at 27.0 MiB
+    assert traced_peak(load_splits, prefix) < 20 * 2**20
+
+
+def test_save_features_writes_from_the_array():
+    features = np.random.default_rng(0).standard_normal((20_000, 256)).astype(np.float32)
+    # astype("<f4").tobytes() held two more copies of the 19.5 MiB payload
+    assert traced_peak(save_features, os.devnull, features) < features.nbytes / 4

@@ -1,14 +1,16 @@
-"""The binary readers on pipes: a FIFO fed one byte per write loads like the regular file."""
+"""The binary file formats: a FIFO fed one byte per write loads like the regular file, and
+the writers write the bytes of the astype(...).tobytes() composition they replaced."""
 
 import os
 import re
+import struct
 import threading
 
 import numpy as np
 import pytest
 
-from ternhash import ContinuationSchedule, Network, NetworkConfig, load_checkpoint, save_checkpoint
-from ternhash.codes import load_codes, pack_matrix, save_codes
+from ternhash import ActivationConfig, ContinuationSchedule, Network, NetworkConfig, load_checkpoint, save_checkpoint
+from ternhash.codes import CodeMatrix, load_codes, pack_matrix, save_codes
 from ternhash.harness import load_features, save_features
 from ternhash.harness.cli import main
 
@@ -110,3 +112,76 @@ def test_encode_reads_features_from_a_pipe(tmp_path, capsys):
     assert through_fifo(tmp_path, feats.read_bytes(), lambda _: main(argv)) == 0
     assert capsys.readouterr().out == f"{tmp_path / 'file.tnc'}\n{tmp_path / 'pipe.tnc'}\n"
     assert (tmp_path / "pipe.tnc").read_bytes() == (tmp_path / "file.tnc").read_bytes()
+
+
+def reference_features_bytes(features):
+    arr = np.asarray(features, dtype=np.float32)
+    return b"TFV1" + struct.pack("<II", arr.shape[0], arr.shape[1]) + arr.astype("<f4").tobytes()
+
+
+def reference_codes_bytes(codes):
+    m = CodeMatrix.of(codes)
+    return b"TNC1" + struct.pack("<II", len(m), m.d) + np.concatenate([m.pos, m.neg], axis=1).astype("<u8").tobytes()
+
+
+def reference_checkpoint_bytes(net, schedule):
+    cfg = net.config
+    return b"".join([
+        b"TNH1",
+        struct.pack("<II", cfg.input_dim, len(cfg.hidden_dims)),
+        struct.pack(f"<{len(cfg.hidden_dims)}I", *cfg.hidden_dims),
+        struct.pack("<IIQ", cfg.code_dim, cfg.num_classes, cfg.seed),
+        struct.pack("<dIIIII", cfg.activation.alpha, cfg.activation.k,
+                    schedule.k_start, schedule.k_end, schedule.stride_epochs, schedule.total_epochs),
+        net.flat.astype("<f4").tobytes(),
+    ])
+
+
+MATRIX = np.random.default_rng(5).standard_normal((7, 9))
+FEATURE_INPUTS = {
+    "float32": MATRIX.astype(np.float32),
+    "float64": MATRIX,
+    "transposed": MATRIX.astype(np.float32).T,
+    "strided": MATRIX.astype(np.float32)[::2, ::3],
+    "big-endian": MATRIX.astype(">f4"),
+    "one row": MATRIX[3:4].astype(np.float32),
+    "int list": [[1, 2], [3, 4]],
+}
+
+
+@pytest.mark.parametrize("name", FEATURE_INPUTS)
+def test_save_features_writes_the_bytes_of_the_astype_composition(tmp_path, name):
+    save_features(tmp_path / "x.tfv", FEATURE_INPUTS[name])
+    assert (tmp_path / "x.tfv").read_bytes() == reference_features_bytes(FEATURE_INPUTS[name])
+
+
+TRITS = np.random.default_rng(6).integers(-1, 2, (9, 70)).astype(np.int8)
+CODE_INPUTS = {
+    "matrix": lambda: pack_matrix(TRITS),
+    "one code": lambda: pack_matrix(TRITS[4:5]),
+    "strided rows": lambda: pack_matrix(TRITS)[::3],
+    "code list": lambda: list(pack_matrix(TRITS[:, :40])),
+}
+
+
+@pytest.mark.parametrize("name", CODE_INPUTS)
+def test_save_codes_writes_the_bytes_of_the_astype_composition(tmp_path, name):
+    codes = CODE_INPUTS[name]()
+    save_codes(tmp_path / "x.tnc", codes)
+    assert (tmp_path / "x.tnc").read_bytes() == reference_codes_bytes(codes)
+
+
+def checkpoint_net(dtype, strided):
+    cfg = NetworkConfig(input_dim=6, hidden_dims=(16, 5), code_dim=6, num_classes=3, seed=2**64 - 1,
+                        activation=ActivationConfig(alpha=0.7, k=9))
+    flat = Network.initialize(cfg).flat.astype(dtype)
+    return Network(config=cfg, flat=np.repeat(flat, 2)[::2] if strided else flat)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("strided", [False, True])
+def test_save_checkpoint_writes_the_bytes_of_the_astype_composition(tmp_path, dtype, strided):
+    net = checkpoint_net(dtype, strided)
+    schedule = ContinuationSchedule(k_start=5, k_end=13, stride_epochs=4, total_epochs=50)
+    save_checkpoint(tmp_path / "x.tnh", net, schedule)
+    assert (tmp_path / "x.tnh").read_bytes() == reference_checkpoint_bytes(net, schedule)
