@@ -12,28 +12,16 @@ import sys
 from ..codes import load_codes, save_codes
 from ..network import check_checkpoint_fields, load_checkpoint, quantization_error, save_checkpoint, train
 from ..retrieval import RetrievalIndex, format_report, mean_ap
-from .config import load_config
+from .config import _DEFAULTS, GENERATOR_KEYS, load_config, parse_eval_k
 from .data import gen_synthetic, load_features, load_labels, save_splits, single_labels
 from .experiment import encode_dataset, format_experiment_report, run_experiment, seed_setup
 
 
 def _cmd_gen(args) -> int:
-    dataset = gen_synthetic(
-        args.classes,
-        args.per_class,
-        args.input_dim,
-        args.spread,
-        args.seed,
-        query_fraction=args.query_fraction,
-        train_fraction=args.train_fraction,
-    )
+    dataset = gen_synthetic(seed=args.seed, **{key: getattr(args, key) for key in GENERATOR_KEYS})
     for path in save_splits(args.out, dataset):
         print(path)
     return 0
-
-
-def _parse_eval_k(raw: str):
-    return "all" if raw == "all" else int(raw)
 
 
 def _cmd_train(args) -> int:
@@ -70,7 +58,7 @@ def _cmd_eval(args) -> int:
         index,
         load_codes(args.query_codes),
         load_labels(args.query_labels),
-        _parse_eval_k(args.k),
+        parse_eval_k(args.k),
         normalization=args.normalization,
     )
     sys.stdout.write(format_report(report))
@@ -95,13 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic clustered dataset as split files")
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=500)
-    p.add_argument("--input-dim", type=int, default=128)
-    p.add_argument("--spread", type=float, default=0.3)
+    for key in GENERATOR_KEYS:  # the config's generator keys, with their types and defaults
+        p.add_argument(f"--{key.replace('_', '-')}", type=type(_DEFAULTS[key]), default=_DEFAULTS[key])
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--query-fraction", type=float, default=0.1)
-    p.add_argument("--train-fraction", type=float, default=0.5)
     p.add_argument("--out", required=True, metavar="PREFIX", help="output path prefix")
     p.set_defaults(func=_cmd_gen)
 

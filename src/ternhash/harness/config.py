@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields
 
 from .._fileio import read_text
 
-_INT_KEYS = ("classes", "per_class", "input_dim", "code_dim", "k_start", "k_end",
-             "stride_epochs", "epochs", "batch_size")
-_FLOAT_KEYS = ("spread", "query_fraction", "train_fraction", "alpha", "lr0", "momentum", "weight_decay")
+# the synthetic generator's keys, named as gen_synthetic's parameters; its seed comes from `seeds`
+GENERATOR_KEYS = ("classes", "per_class", "input_dim", "spread", "query_fraction", "train_fraction")
 
 
 @dataclass(frozen=True)
@@ -56,23 +55,31 @@ class ExperimentConfig:
             raise ValueError(f'eval_k must be "all" or a positive integer, got {self.eval_k!r}')
 
 
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def parse_eval_k(raw: str):
+    """eval_k's value, in a config file or `ternhash eval --k`: "all" or an int."""
+    return "all" if raw == "all" else int(raw)
+
+
 def _parse_value(key: str, raw: str):
+    """The value of one key, of its default's type: an int or float, or a comma-separated int tuple."""
+    if key not in _DEFAULTS:
+        raise ValueError(f"unknown key: {key}")
+    default = _DEFAULTS[key]
     try:
         if key == "data_prefix":
             return raw
-        if key == "hidden_dims":
-            return tuple(int(tok) for tok in raw.split(",")) if raw else ()
-        if key == "seeds":
-            return tuple(int(tok) for tok in raw.split(","))
         if key == "eval_k":
-            return "all" if raw == "all" else int(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+            return parse_eval_k(raw)
+        if key == "hidden_dims" and not raw:
+            return ()
+        if isinstance(default, tuple):
+            return tuple(int(tok) for tok in raw.split(","))
+        return type(default)(raw)
     except ValueError:
         raise ValueError(f"bad value for {key}: {raw!r}") from None
-    raise ValueError(f"unknown key: {key}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -89,7 +96,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key}")
         seen[key] = _parse_value(key, raw)
     if "data_prefix" in seen:
-        synth = {"classes", "per_class", "input_dim", "spread", "query_fraction", "train_fraction"} & seen.keys()
+        synth = seen.keys() & set(GENERATOR_KEYS)
         if synth:
             raise ValueError(f"data_prefix excludes synthetic-generator keys: {sorted(synth)}")
     return ExperimentConfig(**seen)
@@ -105,8 +112,7 @@ def _format_value(value) -> str:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render every field as a `key = value` line (dataset-mode keys only for the active mode)."""
-    skip = {"classes", "per_class", "input_dim", "spread", "query_fraction", "train_fraction"} \
-        if cfg.data_prefix is not None else {"data_prefix"}
+    skip = GENERATOR_KEYS if cfg.data_prefix is not None else ("data_prefix",)
     lines = [
         f"{f.name} = {_format_value(getattr(cfg, f.name))}"
         for f in fields(cfg)

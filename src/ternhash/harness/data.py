@@ -113,8 +113,8 @@ def gen_synthetic(
     """
     if classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError(f"classes, per_class, input_dim must be positive, got {(classes, per_class, input_dim)}")
-    if spread < 0:
-        raise ValueError(f"spread must be non-negative, got {spread!r}")
+    if not 0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and non-negative, got {spread!r}")
     if not 0 < query_fraction < 1 or not 0 < train_fraction <= 1:
         raise ValueError("query_fraction must lie in (0, 1) and train_fraction in (0, 1]")
     n_query = round(query_fraction * per_class)
@@ -175,9 +175,9 @@ def save_labels(path, labels) -> None:
 def load_labels(path) -> LabelSets:
     """Inverse of save_labels; returns one LabelSets row per line.
 
-    Text in save_labels' own form is parsed as arrays; any other text goes
-    through one int() pass. A line may hold its labels in any order and repeat
-    them, with whitespace around each; it may not be blank.
+    Text in save_labels' own form is parsed as arrays; any other text line by
+    line. A line may hold its labels in any order and repeat them, with
+    whitespace around each; it may not be blank.
     """
     text = read_text(path)
     if not text:
@@ -185,14 +185,20 @@ def load_labels(path) -> LabelSets:
     parsed = _parse_canonical(text)
     if parsed is not None:
         return LabelSets(*parsed)
-    # int() strips whitespace too, but not \x1c-\x1f, which str.strip() removes
-    lines = [line.strip() for line in text.removesuffix("\n").split("\n")]
-    try:
-        ids = np.fromiter(map(int, ",".join(lines).split(",")), dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise _line_error(path, lines) from None
-    counts = np.fromiter((line.count(",") + 1 for line in lines), dtype=np.int64, count=len(lines))
-    return LabelSets(indptr=np.concatenate(([0], np.cumsum(counts))), ids=ids)
+    ids, counts = [], []
+    for lineno, line in enumerate(text.removesuffix("\n").split("\n"), start=1):
+        line = line.strip()  # int() strips whitespace too, but not \x1c-\x1f, which str.strip() removes
+        if not line:
+            raise ValueError(f"{path}:{lineno}: empty label line")
+        try:
+            row = list(map(int, line.split(",")))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: labels must be comma-separated integers") from None
+        if not -(2**63) <= min(row) <= max(row) < 2**63:
+            raise ValueError(f"{path}:{lineno}: labels must fit in a signed 64-bit integer")
+        ids += row
+        counts.append(len(row))
+    return LabelSets(indptr=np.concatenate(([0], np.cumsum(counts))), ids=np.array(ids, dtype=np.int64))
 
 
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
@@ -221,20 +227,6 @@ def _parse_canonical(text: str):
     place = ends[at - np.arange(at.size)] - 1 - at  # the i-th digit, at byte p, lies in token p - i
     ids = np.add.reduceat(digits[at] * _POW10[place], np.cumsum(lengths) - lengths)
     return np.concatenate(([0], np.flatnonzero(newline) + 1, [lengths.size])), ids
-
-
-def _line_error(path, lines) -> ValueError:
-    """The error for the first line load_labels cannot take, naming it."""
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            return ValueError(f"{path}:{lineno}: empty label line")
-        try:
-            row = [int(tok) for tok in line.split(",")]
-        except ValueError:
-            return ValueError(f"{path}:{lineno}: labels must be comma-separated integers")
-        if not all(-(2**63) <= label < 2**63 for label in row):
-            return ValueError(f"{path}:{lineno}: labels must fit in a signed 64-bit integer")
-    return ValueError(f"{path}: labels must be comma-separated integers")
 
 
 def save_splits(prefix, dataset: Dataset) -> list:

@@ -24,7 +24,7 @@ from ..network import (
     train,
 )
 from ..retrieval import RetrievalIndex, _resolve_k, mean_ap
-from .config import ExperimentConfig
+from .config import GENERATOR_KEYS, ExperimentConfig
 from .data import Dataset, gen_synthetic, load_splits, single_labels
 
 
@@ -93,15 +93,7 @@ def seed_setup(cfg: ExperimentConfig, seed: int) -> tuple:
     if cfg.data_prefix is not None:
         dataset = load_splits(cfg.data_prefix)
     else:
-        dataset = gen_synthetic(
-            cfg.classes,
-            cfg.per_class,
-            cfg.input_dim,
-            cfg.spread,
-            seed,
-            query_fraction=cfg.query_fraction,
-            train_fraction=cfg.train_fraction,
-        )
+        dataset = gen_synthetic(seed=seed, **{key: getattr(cfg, key) for key in GENERATOR_KEYS})
     _resolve_k(cfg.eval_k, len(dataset.retrieval_ids))
     net_cfg = NetworkConfig(
         input_dim=dataset.input_dim,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternhash.harness import experiment, load_config, save_config, ExperimentConfig
+from ternhash.harness import experiment, load_config, save_config, save_splits, ExperimentConfig
 from ternhash.harness.cli import main
 
 
@@ -137,6 +137,35 @@ def test_gen_is_deterministic(tmp_path, capsys):
     for suffix in (".train.tfv", ".retrieval.tfv", ".query.tfv",
                    ".train.labels", ".retrieval.labels", ".query.labels"):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_gen_defaults_are_the_configs_generator(tmp_path, capsys):
+    prefix = tmp_path / "gen"
+    code, out, err = run(capsys, "gen", "--out", str(prefix))
+    assert code == 0 and err == ""
+    dataset, _, _ = experiment.seed_setup(ExperimentConfig(seeds=(1,)), 1)
+    want = save_splits(tmp_path / "want", dataset)
+    assert out.splitlines() == [path.replace(str(tmp_path / "want"), str(prefix)) for path in want]
+    for got_path, want_path in zip(out.splitlines(), want):
+        assert Path(got_path).read_bytes() == Path(want_path).read_bytes()
+
+
+@pytest.mark.parametrize("spread", ["nan", "inf"])
+def test_gen_rejects_a_spread_that_is_not_finite(tmp_path, capsys, spread):
+    code, out, err = run(capsys, *gen_args(tmp_path / "data", spread=spread))
+    assert code == 1 and out == ""
+    assert err == f"error: spread must be finite and non-negative, got {float(spread)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_rejects_a_spread_that_is_not_finite_before_training(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: trained.append(args))
+    cfg_path = write_tiny_config(tmp_path / "run.cfg", spread=float("nan"))
+    code, out, err = run(capsys, "compare", "--config", str(cfg_path))
+    assert code == 1 and out == ""
+    assert err == "error: spread must be finite and non-negative, got nan\n"
+    assert trained == []
 
 
 def test_train_is_deterministic(tmp_path, capsys):

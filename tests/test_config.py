@@ -1,12 +1,17 @@
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from ternhash.harness import (
     ExperimentConfig,
+    gen_synthetic,
     load_config,
     parse_config,
     save_config,
     serialize_config,
 )
+from ternhash.harness.config import GENERATOR_KEYS
 
 
 def test_defaults():
@@ -40,6 +45,54 @@ def test_roundtrip_file_mode():
     assert "classes" not in text
     assert "spread" not in text
     assert parse_config(text) == cfg
+
+
+NON_DEFAULT = dict(
+    classes=4,
+    per_class=60,
+    input_dim=32,
+    spread=0.15,
+    query_fraction=0.2,
+    train_fraction=0.75,
+    hidden_dims=(64, 32, 16),
+    code_dim=8,
+    alpha=0.25,
+    k_start=2,
+    k_end=9,
+    stride_epochs=7,
+    epochs=21,
+    batch_size=32,
+    lr0=3e-3,
+    momentum=0.5,
+    weight_decay=2.5e-5,
+    eval_k=25,
+    seeds=(7, 0, 8),
+)
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "file"])
+def test_roundtrip_of_every_field(mode):
+    """Every field but the other mode's is non-default, so a field the parser drops fails here."""
+    default = ExperimentConfig()
+    values = dict(NON_DEFAULT, data_prefix="runs/every field")
+    assert values.keys() == {f.name for f in fields(ExperimentConfig)}
+    assert all(value != getattr(default, key) for key, value in values.items())
+    if mode == "file":
+        values = {key: value for key, value in values.items() if key not in GENERATOR_KEYS}
+    else:
+        del values["data_prefix"]
+    cfg = ExperimentConfig(**values)
+    text = serialize_config(cfg)
+    assert len(text.splitlines()) == len(values)
+    parsed = parse_config(text)
+    assert parsed == cfg
+    assert [type(v) for v in vars(parsed).values()] == [type(v) for v in vars(cfg).values()]
+
+
+def test_generator_keys_are_gen_synthetics_parameters():
+    params = inspect.signature(gen_synthetic).parameters
+    assert set(GENERATOR_KEYS) == params.keys() - {"seed"}
+    assert set(GENERATOR_KEYS) <= {f.name for f in fields(ExperimentConfig)}
 
 
 def test_comments_and_blank_lines():

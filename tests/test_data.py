@@ -224,6 +224,12 @@ def test_gen_synthetic_validation():
         gen_synthetic(3, 2, 4, 0.3, 1)  # too few items per class to split
 
 
+@pytest.mark.parametrize("spread", [float("nan"), float("inf"), float("-inf"), -0.1])
+def test_gen_synthetic_rejects_a_spread_that_is_not_finite_and_non_negative(spread):
+    with pytest.raises(ValueError, match=f"^spread must be finite and non-negative, got {spread!r}$"):
+        gen_synthetic(3, 10, 4, spread, 1)
+
+
 def test_features_file_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(7, 5)).astype(np.float32)
