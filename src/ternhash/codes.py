@@ -6,7 +6,8 @@ the induced binary encoding (+1 -> "10", 0 -> "00", -1 -> "01") the Hamming
 distance between two codes is popcount(pos XOR pos') + popcount(neg XOR neg'),
 so disagreeing nonzero trits cost 2 and zero/nonzero disagreements cost 1.
 
-A set of codes is one CodeMatrix: both planes as [n, words] uint64 arrays.
+A set of codes is one CodeMatrix: one [n, 2, words] uint64 array, the .tnc
+file's records, each code's positive-plane words then its negative-plane words.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import read_exact, read_payload, write_payload
+from .activation import hard_ternary
 
 _TRIT_BITS = {1: "10", 0: "00", -1: "01"}
 
@@ -52,65 +54,68 @@ class TernaryCode:
         return self.trits.size
 
 
-def _check_planes(pos: np.ndarray, neg: np.ndarray, d: int, shape: tuple) -> None:
-    """The plane invariants, for one code (shape (words,)) or many (shape (n, words))."""
+def _checked_planes(planes, d: int, lead: int) -> np.ndarray:
+    """planes as a checked C-contiguous uint64 array: (2, words) for one code (lead 0), (n, 2, words) for n (lead 1)."""
+    planes = np.ascontiguousarray(planes, dtype=np.uint64)
     if d < 1:
         raise ValueError(f"d must be positive, got {d!r}")
-    if pos.shape != shape or neg.shape != shape:
-        raise ValueError(f"expected {shape[-1]} words per plane for d={d}")
-    if (pos & neg).any():
+    shape = (*planes.shape[:lead], 2, _words(d))
+    if planes.shape != shape:
+        raise ValueError(f"expected planes of shape {shape} for d={d}, got {planes.shape}")
+    if (planes[..., 0, :] & planes[..., 1, :]).any():
         raise ValueError("a trit cannot be both +1 and -1")
     tail = d % 64
-    if tail and ((pos[..., -1] | neg[..., -1]) >> tail).any():
+    if tail and (planes[..., -1] >> tail).any():
         raise ValueError(f"bits set beyond d={d}")
+    return planes
 
 
 def _words(d) -> int:
     return (operator.index(d) + 63) // 64
 
 
-@dataclass(frozen=True)
-class PackedCode:
-    """Two little-endian uint64 bitplanes over ceil(d/64) words each."""
+class _Planes:
+    """The positive and negative planes as views of planes[..., 0, :] and planes[..., 1, :]."""
 
-    pos: np.ndarray
-    neg: np.ndarray
+    @property
+    def pos(self) -> np.ndarray:
+        return self.planes[..., 0, :]
+
+    @property
+    def neg(self) -> np.ndarray:
+        return self.planes[..., 1, :]
+
+
+@dataclass(frozen=True)
+class PackedCode(_Planes):
+    """One code as [2, words] little-endian uint64: the positive plane's ceil(d/64) words, then the negative's."""
+
+    planes: np.ndarray
     d: int
 
     def __post_init__(self):
-        pos = np.asarray(self.pos, dtype=np.uint64)
-        neg = np.asarray(self.neg, dtype=np.uint64)
-        _check_planes(pos, neg, self.d, (_words(self.d),))
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "planes", _checked_planes(self.planes, self.d, 0))
 
     def __eq__(self, other):
         if not isinstance(other, PackedCode):
             return NotImplemented
-        return self.d == other.d and np.array_equal(self.pos, other.pos) and np.array_equal(self.neg, other.neg)
+        return self.d == other.d and np.array_equal(self.planes, other.planes)
 
 
 @dataclass(frozen=True, eq=False)
-class CodeMatrix(Sequence):
-    """n codes of one length d: [n, words] uint64 positive and negative planes.
+class CodeMatrix(_Planes, Sequence):
+    """n codes of one length d as one [n, 2, words] uint64 array, in the .tnc payload's order.
 
     A read-only sequence of PackedCode: an int index gives one code, a slice
     gives a CodeMatrix, and it equals any sequence of PackedCode with the
     same rows.
     """
 
-    pos: np.ndarray
-    neg: np.ndarray
+    planes: np.ndarray
     d: int
 
     def __post_init__(self):
-        pos = np.ascontiguousarray(self.pos, dtype=np.uint64)
-        neg = np.ascontiguousarray(self.neg, dtype=np.uint64)
-        if pos.ndim != 2:
-            raise ValueError(f"planes must be [n x words] arrays, got shape {pos.shape}")
-        _check_planes(pos, neg, self.d, (pos.shape[0], _words(self.d)))
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "planes", _checked_planes(self.planes, self.d, 1))
 
     @classmethod
     def of(cls, codes) -> CodeMatrix:
@@ -123,48 +128,44 @@ class CodeMatrix(Sequence):
         d = codes[0].d
         if any(c.d != d for c in codes):
             raise ValueError("all codes must share one length")
-        return cls(pos=np.stack([c.pos for c in codes]), neg=np.stack([c.neg for c in codes]), d=d)
+        return cls(planes=np.stack([c.planes for c in codes]), d=d)
 
     def __len__(self):
-        return self.pos.shape[0]
+        return self.planes.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return CodeMatrix(pos=self.pos[i], neg=self.neg[i], d=self.d)
-        i = operator.index(i)
-        return PackedCode(pos=self.pos[i], neg=self.neg[i], d=self.d)
+            return CodeMatrix(planes=self.planes[i], d=self.d)
+        return PackedCode(planes=self.planes[operator.index(i)], d=self.d)
 
     def __eq__(self, other):
         if not isinstance(other, CodeMatrix):
             if not isinstance(other, Sequence) or not all(isinstance(c, PackedCode) for c in other):
                 return NotImplemented
             return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return self.d == other.d and np.array_equal(self.pos, other.pos) and np.array_equal(self.neg, other.neg)
+        return self.d == other.d and np.array_equal(self.planes, other.planes)
 
 
 def ternarize(features, alpha: float) -> TernaryCode:
     """Quantize a real feature vector to a ternary code at threshold alpha."""
-    from .activation import hard_ternary
-
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("features must be a non-empty 1-d array")
     return TernaryCode(hard_ternary(arr, alpha))
 
 
-def _pack_planes(trits: np.ndarray) -> tuple:
-    """[n, d] trits -> [n, words] positive and negative planes; bit i of a row is trit i."""
+def _pack_planes(trits: np.ndarray) -> np.ndarray:
+    """[n, d] trits -> [n, 2, words] planes, positive plane first; bit i of a plane is trit i."""
     n, d = trits.shape
-    planes = np.zeros((2, n, 8 * _words(d)), dtype=np.uint8)
-    planes[..., : (d + 7) // 8] = np.packbits(np.stack((trits == 1, trits == -1)), axis=-1, bitorder="little")
-    planes = planes.view("<u8").astype(np.uint64, copy=False)
-    return planes[0], planes[1]
+    bits = np.zeros((n, 2, 64 * _words(d)), dtype=bool)
+    np.equal(trits, 1, out=bits[:, 0, :d])
+    np.equal(trits, -1, out=bits[:, 1, :d])
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False).reshape(n, 2, _words(d))
 
 
 def pack(code: TernaryCode) -> PackedCode:
     """Split trits into the two bitplanes."""
-    pos, neg = _pack_planes(code.trits[None, :])
-    return PackedCode(pos=pos[0], neg=neg[0], d=code.trits.size)
+    return PackedCode(planes=_pack_planes(code.trits[None, :])[0], d=code.trits.size)
 
 
 def pack_matrix(trits) -> CodeMatrix:
@@ -174,14 +175,12 @@ def pack_matrix(trits) -> CodeMatrix:
         raise ValueError(f"trits must be an [n x d] matrix with d >= 1, got shape {arr.shape}")
     if not _is_trits(arr):
         raise ValueError("trits must take values in {-1, 0, +1}")
-    pos, neg = _pack_planes(arr)
-    return CodeMatrix(pos=pos, neg=neg, d=arr.shape[1])
+    return CodeMatrix(planes=_pack_planes(arr), d=arr.shape[1])
 
 
 def unpack(packed: PackedCode) -> TernaryCode:
     """Inverse of pack."""
-    pos = np.unpackbits(packed.pos.astype("<u8").view(np.uint8), bitorder="little")[: packed.d]
-    neg = np.unpackbits(packed.neg.astype("<u8").view(np.uint8), bitorder="little")[: packed.d]
+    pos, neg = np.unpackbits(packed.planes.astype("<u8").view(np.uint8), axis=-1, bitorder="little")[:, : packed.d]
     return TernaryCode(pos.astype(np.int8) - neg.astype(np.int8))
 
 
@@ -194,7 +193,18 @@ def hamming(a: PackedCode, b: PackedCode) -> int:
     """Hamming distance between the binary encodings of two packed codes."""
     if a.d != b.d:
         raise ValueError(f"code lengths differ: {a.d} vs {b.d}")
-    return int(np.bitwise_count(a.pos ^ b.pos).sum() + np.bitwise_count(a.neg ^ b.neg).sum())
+    return int(np.bitwise_count(a.planes ^ b.planes).sum())
+
+
+def _scan_rows(codes) -> np.ndarray:
+    """A CodeMatrix or PackedCode as uint64 scan rows: one XOR and popcount give the distance.
+
+    For d <= 32 a code is one word, its negative plane in the high half;
+    longer codes are their 2 * words plane words, positive first, as a view.
+    """
+    if codes.d <= 32:
+        return codes.planes[..., 0, 0] | (codes.planes[..., 1, 0] << np.uint64(32))
+    return codes.planes.reshape(*codes.planes.shape[:-2], -1)
 
 
 def save_codes(path, codes) -> None:
@@ -203,7 +213,7 @@ def save_codes(path, codes) -> None:
     if not len(codes):
         raise ValueError("cannot save an empty code list")
     m = CodeMatrix.of(codes)
-    write_payload(path, _CODES_MAGIC + struct.pack("<II", len(m), m.d), np.concatenate([m.pos, m.neg], axis=1), "<u8")
+    write_payload(path, _CODES_MAGIC + struct.pack("<II", len(m), m.d), m.planes, "<u8")
 
 
 def load_codes(path) -> CodeMatrix:
@@ -215,6 +225,4 @@ def load_codes(path) -> CodeMatrix:
         n, d = struct.unpack("<II", read_exact(fh, 8, "code file header"))
         if n < 1 or d < 1:
             raise ValueError(f"invalid header: n={n}, d={d}")
-        planes = read_payload(fh, (n, 2, _words(d)), "<u8", "code payload")
-    planes.flags.writeable = False  # a one-code matrix holds views of the buffer, read-only as before
-    return CodeMatrix(pos=planes[:, 0], neg=planes[:, 1], d=d)
+        return CodeMatrix(planes=read_payload(fh, (n, 2, _words(d)), "<u8", "code payload"), d=d)

@@ -53,6 +53,10 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be distinct, got {self.seeds!r}")
         if self.eval_k != "all" and (not isinstance(self.eval_k, int) or self.eval_k < 1):
             raise ValueError(f'eval_k must be "all" or a positive integer, got {self.eval_k!r}')
+        if self.data_prefix is not None:
+            synth = [key for key in GENERATOR_KEYS if getattr(self, key) != _DEFAULTS[key]]
+            if synth:
+                raise ValueError(f"data_prefix excludes synthetic-generator keys: {sorted(synth)}")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

@@ -169,9 +169,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def format_experiment_report(result: ExperimentResult) -> str:
     """Plain-text comparison table; byte-stable for a fixed config."""
     cfg = result.config
-    dataset = cfg.data_prefix if cfg.data_prefix is not None else (
-        f"synthetic classes={cfg.classes} per_class={cfg.per_class} "
-        f"input_dim={cfg.input_dim} spread={cfg.spread!r}"
+    dataset = cfg.data_prefix if cfg.data_prefix is not None else "synthetic " + " ".join(
+        f"{key}={getattr(cfg, key)!r}" for key in GENERATOR_KEYS
     )
     lines = [
         "continuation vs two-step ternary hashing",

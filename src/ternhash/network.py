@@ -50,9 +50,8 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        dims = (self.input_dim, *self.hidden_dims, self.code_dim, self.num_classes)
-        if any(not isinstance(v, int) or v < 1 for v in dims):
-            raise ValueError(f"all layer dims must be positive integers, got {dims}")
+        if any(not isinstance(v, int) or v < 1 for v in self.layer_dims):
+            raise ValueError(f"all layer dims must be positive integers, got {self.layer_dims}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import CodeMatrix, PackedCode
+from .codes import CodeMatrix, PackedCode, _scan_rows
 
 
 def _int64_vector(values, name: str) -> np.ndarray:
@@ -161,17 +161,6 @@ def _resolve_k(k, n: int) -> int:
 def _check_length(index: RetrievalIndex, d: int) -> None:
     if d != index.d:
         raise ValueError(f"query length {d} does not match index length {index.d}")
-
-
-def _scan_rows(codes) -> np.ndarray:
-    """A CodeMatrix or PackedCode as the uint64 rows _rank scans: one XOR and popcount give the distance.
-
-    For d <= 32 a code is one word, its negative plane in the high half;
-    longer codes put the two planes side by side, 2 * words words.
-    """
-    if codes.d <= 32:
-        return codes.pos[..., 0] | (codes.neg[..., 0] << np.uint64(32))
-    return np.concatenate((codes.pos, codes.neg), axis=-1)
 
 
 def _rank(index: RetrievalIndex, query: np.ndarray, cut: int) -> tuple:

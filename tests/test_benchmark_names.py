@@ -1,10 +1,18 @@
-"""The benchmark drives the program through module attributes; each one it names must exist."""
+"""The benchmark drives the program through module attributes; each one it names must exist, and its
+oracle must read the program's codes."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+import numpy as np
+import pytest
+
+from ternhash import load_codes, pack_matrix, save_codes
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+WORKLOADS = BENCHMARKS / "workloads.py"
 
 
 def imported_modules(tree) -> dict:
@@ -34,3 +42,22 @@ def test_workloads_name_only_attributes_the_program_has():
     assert {("experiment", "single_labels"), ("experiment", "train")} <= used
     assert ("data", "gen_synthetic") in used
     assert [f"{m}.{a}" for m, a in sorted(used) if not hasattr(modules[m], a)] == []
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("benchmark_oracle", BENCHMARKS / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("d", [1, 32, 33, 64, 65, 130])
+def test_oracle_reads_packed_codes_and_tnc_files(tmp_path, d):
+    oracle = load_oracle()
+    trits = np.random.default_rng(d).integers(-1, 2, size=(7, d)).astype(np.int8)
+    codes = pack_matrix(trits)
+    assert np.array_equal(oracle.trits_from_packed(codes), trits)
+    path = tmp_path / "codes.tnc"
+    save_codes(path, codes)
+    assert np.array_equal(oracle.read_tnc(path), trits)
+    assert np.array_equal(oracle.trits_from_packed(load_codes(path)), trits)

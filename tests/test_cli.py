@@ -260,7 +260,7 @@ def test_bad_labels_file_is_one_line_error(tmp_path, capsys, blob, which):
     from ternhash.harness import save_labels
 
     codes, good, bad = tmp_path / "x.tnc", tmp_path / "x.labels", tmp_path / "bad.labels"
-    save_codes(codes, CodeMatrix(pos=np.zeros((3, 1), np.uint64), neg=np.zeros((3, 1), np.uint64), d=6))
+    save_codes(codes, CodeMatrix(planes=np.zeros((3, 2, 1), np.uint64), d=6))
     save_labels(good, [{0}, {1}, {2}])
     bad.write_bytes(blob)
     paths = {"--labels": str(good), "--query-labels": str(good), which: str(bad)}

@@ -41,13 +41,21 @@ def test_ternary_code_validation():
             TernaryCode(np.array([1.0, bad]))
 
 
+def planes(pos, neg) -> np.ndarray:
+    """Positive and negative planes as one array, the positive plane first along the second-last axis."""
+    return np.stack((np.asarray(pos, dtype=np.uint64), np.asarray(neg, dtype=np.uint64)), axis=-2)
+
+
 def test_packed_code_invariants():
     with pytest.raises(ValueError):
-        PackedCode(pos=np.array([1], dtype=np.uint64), neg=np.array([1], dtype=np.uint64), d=4)
+        PackedCode(planes=planes([1], [1]), d=4)
     with pytest.raises(ValueError):
-        PackedCode(pos=np.array([1 << 10], dtype=np.uint64), neg=np.array([0], dtype=np.uint64), d=4)
+        PackedCode(planes=planes([1 << 10], [0]), d=4)
     with pytest.raises(ValueError):
-        PackedCode(pos=np.array([1], dtype=np.uint64), neg=np.array([0], dtype=np.uint64), d=0)
+        PackedCode(planes=planes([1], [0]), d=0)
+    with pytest.raises(ValueError):
+        PackedCode(planes=np.array([1], dtype=np.uint64), d=4)  # one plane, not two
+    assert PackedCode(planes=planes([1], [0]), d=4).pos.tolist() == [1]
 
 
 def test_ternarize():
@@ -65,6 +73,8 @@ def test_pack_bit_layout():
     packed = pack(code(1, 0, -1))
     assert packed.pos.tolist() == [0b001]
     assert packed.neg.tolist() == [0b100]
+    assert packed.planes.tolist() == [[0b001], [0b100]]
+    assert np.shares_memory(packed.pos, packed.planes) and np.shares_memory(packed.neg, packed.planes)
     zero = pack(code(0, 0, 0))
     assert zero.pos.tolist() == [0] and zero.neg.tolist() == [0]
 
@@ -163,24 +173,21 @@ def random_trits(rng, n, d):
     return rng.integers(-1, 2, size=(n, d)).astype(np.int8)
 
 
-def reference_load_codes(path):
-    """load_codes as it read before: the payload as bytes, then read-only frombuffer planes."""
-    raw = path.read_bytes()
-    n, d = struct.unpack("<II", raw[4:12])
-    planes = np.frombuffer(raw[12:], dtype="<u8").reshape(n, 2, (d + 63) // 64)
-    return CodeMatrix(pos=planes[:, 0], neg=planes[:, 1], d=d)
-
-
 @pytest.mark.parametrize("n", [1, 2, 9])
 @pytest.mark.parametrize("d", [1, 32, 64, 70, 130])
 def test_load_codes_returns_the_planes_it_returned_before(tmp_path, n, d):
-    # one read into the array: same dtype, shape, bytes and flags (a one-code file's planes stay read-only views)
+    # the payload read into one writable [n, 2, words] array, with pos and neg views of it for every n
     path = tmp_path / "x.tnc"
     save_codes(path, pack_matrix(random_trits(np.random.default_rng(n * d), n, d)))
-    got, want = load_codes(path), reference_load_codes(path)
-    for a, b in ((got.pos, want.pos), (got.neg, want.neg)):
-        assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), b.flags.writeable)
     raw = path.read_bytes()
+    got = load_codes(path)
+    assert (got.planes.dtype, got.planes.shape) == (np.uint64, (n, 2, (d + 63) // 64))
+    assert got.planes.tobytes() == raw[12:]
+    assert got.planes.flags.writeable and got.planes.flags.c_contiguous
+    for plane, which in ((got.pos, 0), (got.neg, 1)):
+        assert np.shares_memory(plane, got.planes) and plane.flags.writeable
+        assert plane.tobytes() == got.planes[:, which].tobytes()
+    assert np.shares_memory(got[0].planes, got.planes) and got[0].planes.flags.writeable
     for blob, message in ((raw[:-3], f"truncated code payload: needs {len(raw) - 12} bytes, {len(raw) - 15} left"),
                           (raw + b"\0", "trailing bytes after code payload")):
         path.write_bytes(blob)
@@ -194,6 +201,7 @@ def test_pack_matrix_matches_row_by_row_pack():
     for d in (1, 16, 63, 64, 65, 70, 130):
         trits = random_trits(rng, 9, d)
         m = pack_matrix(trits)
+        assert m.planes.shape == (9, 2, (d + 63) // 64)
         assert m.pos.shape == m.neg.shape == (9, (d + 63) // 64)
         assert m == [pack(TernaryCode(t)) for t in trits]
     with pytest.raises(ValueError):
@@ -228,16 +236,20 @@ def test_code_matrix_invariants():
     one = np.array([[1]], dtype=np.uint64)
     zero = np.array([[0]], dtype=np.uint64)
     with pytest.raises(ValueError):
-        CodeMatrix(pos=one, neg=one, d=4)  # a trit both +1 and -1
+        CodeMatrix(planes=planes(one, one), d=4)  # a trit both +1 and -1
     with pytest.raises(ValueError):
-        CodeMatrix(pos=one << np.uint64(10), neg=zero, d=4)  # a bit past d
+        CodeMatrix(planes=planes(one << np.uint64(10), zero), d=4)  # a bit past d
     with pytest.raises(ValueError):
-        CodeMatrix(pos=zero, neg=zero, d=65)  # one word where d needs two
+        CodeMatrix(planes=planes(zero, one << np.uint64(10)), d=4)  # a negative-plane bit past d
     with pytest.raises(ValueError):
-        CodeMatrix(pos=zero[0], neg=zero[0], d=4)  # not [n x words]
+        CodeMatrix(planes=planes(zero, zero), d=65)  # one word where d needs two
     with pytest.raises(ValueError):
-        CodeMatrix(pos=zero, neg=zero, d=0)
-    assert len(CodeMatrix(pos=zero, neg=zero, d=64)) == 1
+        CodeMatrix(planes=planes(zero[0], zero[0]), d=4)  # not [n x 2 x words]
+    with pytest.raises(ValueError):
+        CodeMatrix(planes=np.zeros((1, 3, 1), np.uint64), d=4)  # three planes
+    with pytest.raises(ValueError):
+        CodeMatrix(planes=planes(zero, zero), d=0)
+    assert len(CodeMatrix(planes=planes(zero, zero), d=64)) == 1
 
 
 def valid_tnc(tmp_dir) -> bytes:

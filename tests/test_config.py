@@ -2,6 +2,8 @@ import inspect
 from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternhash.harness import (
     ExperimentConfig,
@@ -87,6 +89,32 @@ def test_roundtrip_of_every_field(mode):
     parsed = parse_config(text)
     assert parsed == cfg
     assert [type(v) for v in vars(parsed).values()] == [type(v) for v in vars(cfg).values()]
+
+
+def test_file_mode_construction_rejects_generator_fields_off_their_defaults():
+    for key in GENERATOR_KEYS:
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(data_prefix="x", **{key: NON_DEFAULT[key]})
+        assert str(exc.value) == f"data_prefix excludes synthetic-generator keys: {[key]}"
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(data_prefix="x", train_fraction=0.25, classes=5)
+    assert str(exc.value) == "data_prefix excludes synthetic-generator keys: ['classes', 'train_fraction']"
+    # the parser still rejects a generator key that is present, even at its default
+    with pytest.raises(ValueError, match="data_prefix excludes"):
+        parse_config(f"data_prefix = x\nclasses = {ExperimentConfig().classes}")
+
+
+@given(file_mode=st.booleans(), changed=st.sets(st.sampled_from(sorted(NON_DEFAULT))))
+def test_every_constructible_config_round_trips(file_mode, changed):
+    values = {key: NON_DEFAULT[key] for key in changed}
+    if file_mode:
+        values["data_prefix"] = "runs/any"
+    if file_mode and changed & set(GENERATOR_KEYS):
+        with pytest.raises(ValueError, match="data_prefix excludes synthetic-generator keys"):
+            ExperimentConfig(**values)
+        return
+    cfg = ExperimentConfig(**values)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_generator_keys_are_gen_synthetics_parameters():

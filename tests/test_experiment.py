@@ -253,6 +253,16 @@ def test_report_contents_and_determinism():
     assert again == text
 
 
+def test_report_header_names_every_generator_key():
+    reports = [format_experiment_report(run_experiment(tiny_config(seeds=(1,), train_fraction=f))) for f in (0.5, 0.3)]
+    headers = [text.splitlines()[1] for text in reports]
+    assert headers == [
+        f"dataset: synthetic classes=3 per_class=30 input_dim=8 spread=0.2 query_fraction=0.1 train_fraction={f}"
+        for f in (0.5, 0.3)
+    ]
+    assert reports[0].splitlines()[2:] != reports[1].splitlines()[2:]
+
+
 def test_file_mode_uses_saved_splits(tmp_path):
     cfg = file_config(tmp_path)
     r1 = run_seed(cfg, 1)
