@@ -31,7 +31,7 @@ def _is_trits(arr: np.ndarray) -> bool:
     return bool(((arr == 0) | (arr == 1) | (arr == -1)).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TernaryCode:
     """A vector of trits in {-1, 0, +1}, stored as int8."""
 
@@ -86,7 +86,7 @@ class _Planes:
         return self.planes[..., 1, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedCode(_Planes):
     """One code as [2, words] little-endian uint64: the positive plane's ceil(d/64) words, then the negative's."""
 

@@ -109,7 +109,8 @@ def gen_synthetic(
     class c) and stored as float32. Per class, a seeded permutation sends a
     query_fraction slice to the query split and the rest to retrieval; the
     first train_fraction of the retrieval part (same permutation) forms the
-    training subset. Deterministic per seed.
+    training subset. Deterministic per seed. A spread whose samples overflow
+    float32 raises ValueError.
     """
     if classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError(f"classes, per_class, input_dim must be positive, got {(classes, per_class, input_dim)}")
@@ -130,8 +131,11 @@ def gen_synthetic(
     features = np.empty((classes * per_class, input_dim), dtype=np.float32)
     perms = np.empty((classes, per_class), dtype=np.int64)
     for c in range(classes):
-        block = centers[c] + spread * rng.standard_normal((per_class, input_dim))
-        features[c * per_class : (c + 1) * per_class] = block.astype(np.float32)
+        rows = features[c * per_class : (c + 1) * per_class]
+        with np.errstate(over="ignore"):
+            rows[...] = centers[c] + spread * rng.standard_normal((per_class, input_dim))
+        if not np.all(np.isfinite(rows)):
+            raise ValueError(f"spread {spread!r} overflows the float32 features of class {c}")
         perms[c] = rng.permutation(per_class) + c * per_class
     return Dataset(
         features=features,

@@ -32,11 +32,12 @@ from .activation import (  # smooth_ternary_grad is unused here but stays import
 )
 
 _CHECKPOINT_MAGIC = b"TNH1"
-# Rows per block of the inference forward, so a 256-wide float32 block is
-# 1 MB and stays in L2. Blocks are near-equal, R to 2R-1 rows each, because a
-# tiny block takes BLAS's matrix-vector path, whose rounding differs from the
-# matrix-matrix one.
-_ROW_BLOCK = 1024
+# Rows per block of the inference forward: a 256-wide float32 block is 256 KB
+# to 512 KB, so the blocks stay in L2 and encode and quantization error hold
+# O(block) temporaries; 128 rows runs 7% slower. Blocks are near-equal, R to
+# 2R-1 rows each, because a tiny block takes BLAS's matrix-vector path, whose
+# rounding differs from the matrix-matrix one.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,15 @@ def _layer_views(dims, flat: np.ndarray):
     return weights, biases
 
 
-def _check_batch(batch, input_dim: int, dtype) -> np.ndarray:
+def _check_batch(batch, input_dim: int, dtype, finite: bool = True) -> np.ndarray:
     # Finiteness is checked after the cast: a float64 value past the float32
-    # range becomes inf here and is rejected, not trained on.
+    # range becomes inf here and is rejected, not trained on. The inference
+    # forward passes finite=False and checks each block as it reaches it.
     with np.errstate(over="ignore"):
         arr = np.asarray(batch, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != input_dim:
         raise ValueError(f"batch must be non-empty [B x {input_dim}], got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise ValueError("batch must be finite")
     return arr
 
@@ -305,18 +307,25 @@ def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, m
         if g.dtype != p.dtype or v.dtype != p.dtype:
             raise ValueError(f"dtype mismatch: param {p.dtype}, grad {g.dtype}, velocity {v.dtype}")
     for p, v, g in zip(params, state.velocity, grads):
+        step = p * weight_decay
+        step += g
         v *= momentum
-        v += g + weight_decay * p
-        p -= lr * v
+        v += step
+        p -= np.multiply(v, lr, out=step)
     return net, state
 
 
 def quantization_error(net: Network, features, k) -> float:
-    """Mean |activation - hard quantization| of the hash layer over a feature set."""
+    """Mean |activation - hard quantization| of the hash layer over a feature set, filled in block by block."""
     alpha = net.config.activation.alpha
-    hash_pre = hash_features(net, features)
-    hash_act = hash_pre if k is None else smooth_ternary(hash_pre, ActivationConfig(alpha, k))
-    return float(np.abs(hash_act - hard_ternary(hash_pre, alpha)).mean())
+    cfg = None if k is None else ActivationConfig(alpha, k)
+    arr = _check_batch(features, net.config.input_dim, net.dtype, finite=False)
+    err = np.empty((arr.shape[0], net.config.code_dim), dtype=net.dtype)
+    for rows, hash_pre in _hash_blocks(net, arr):
+        hash_act = hash_pre if cfg is None else smooth_ternary(hash_pre, cfg)
+        diff = np.subtract(hash_act, hard_ternary(hash_pre, alpha), out=err[rows])
+        np.abs(diff, out=diff)
+    return float(err.mean())
 
 
 def _row_blocks(n: int):
@@ -326,20 +335,31 @@ def _row_blocks(n: int):
     return zip(bounds, bounds[1:])
 
 
+def _hash_blocks(net: Network, arr: np.ndarray):
+    """The inference forward: (rows, hash layer of arr[rows]) per block of a shape-checked batch.
+
+    Each block is checked finite as it is reached. No per-layer caches and no
+    classifier; every hash block is one buffer, overwritten by the next block.
+    """
+    n_hidden = len(net.config.hidden_dims)
+    buf = np.empty((min(arr.shape[0], 2 * _ROW_BLOCK - 1), net.config.code_dim), dtype=net.dtype)
+    for start, stop in _row_blocks(arr.shape[0]):
+        h = _check_batch(arr[start:stop], net.config.input_dim, net.dtype)
+        for i in range(n_hidden):
+            h = _layer(net, i, h)
+        yield slice(start, stop), _layer(net, n_hidden, h, buf[: stop - start])
+
+
 def hash_features(net: Network, features) -> np.ndarray:
     """Squashed hash-layer outputs in (-1, 1), the values the quantizer thresholds.
 
-    An inference-only forward: block by block, with no per-layer caches and
-    no classifier; bit-equal to forward(net, features, None)[0].
+    The blocked inference forward. Its layers are forward's, so it is bit-equal to forward(net, features, None)[0]
+    wherever BLAS rounds a block as it rounds the whole batch, as it does at the reference widths.
     """
-    arr = _check_batch(features, net.config.input_dim, net.dtype)
-    n_hidden = len(net.config.hidden_dims)
+    arr = _check_batch(features, net.config.input_dim, net.dtype, finite=False)
     out = np.empty((arr.shape[0], net.config.code_dim), dtype=net.dtype)
-    for start, stop in _row_blocks(arr.shape[0]):
-        h = arr[start:stop]
-        for i in range(n_hidden):
-            h = _layer(net, i, h)
-        _layer(net, n_hidden, h, out[start:stop])
+    for rows, hash_pre in _hash_blocks(net, arr):
+        out[rows] = hash_pre
     return out
 
 
@@ -353,7 +373,8 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     drives the per-epoch reshuffle. The last short batch of an epoch is kept.
     Training computes in float32: the initial parameters and the features are
     cast once, and the returned network is float32, as checkpoints store it.
-    Overflow and NaN warnings are off, epoch hooks included; a non-finite epoch loss raises FloatingPointError.
+    Overflow and NaN warnings are off, epoch hooks included; a non-finite epoch loss, or non-finite parameters
+    at an epoch's end, raise FloatingPointError before the hook runs.
     """
     feats = _check_batch(features, net_cfg.input_dim, np.float32)
     labs = _check_labels(labels, feats.shape[0], net_cfg.num_classes)
@@ -376,7 +397,8 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
                 sgd_momentum_step(net, state, grads, lr, train_cfg.momentum, train_cfg.weight_decay)
                 loss_sum += loss * idx.size
             entry = EpochLog(epoch=epoch, k=k, lr=lr, loss=loss_sum / n)
-            if not math.isfinite(entry.loss):
+            # a last step that diverges leaves the epoch's loss finite, but not the parameters
+            if not (math.isfinite(entry.loss) and np.all(np.isfinite(net.flat))):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}: {entry}")
             logs.append(entry)
             if epoch_hook is not None:

@@ -158,6 +158,16 @@ def test_gen_rejects_a_spread_that_is_not_finite(tmp_path, capsys, spread):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_rejects_a_spread_that_overflows_float32(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *gen_args(tmp_path / "data", per_class=10, input_dim=4, spread=1e300))
+    assert caught == []
+    assert code == 1 and out == ""
+    assert err == "error: spread 1e+300 overflows the float32 features of class 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_rejects_a_spread_that_is_not_finite_before_training(tmp_path, capsys, monkeypatch):
     trained = []
     monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: trained.append(args))
@@ -364,3 +374,17 @@ def test_train_then_encode_matches_the_in_memory_network(tmp_path, capsys):
     assert run(capsys, "encode", "--checkpoint", str(ckpt), "--features", str(rows), "--out", str(tmp_path / "cli.tnc"))[0] == 0
     save_codes(tmp_path / "mem.tnc", experiment.encode_dataset(net, load_features(rows)))
     assert (tmp_path / "cli.tnc").read_bytes() == (tmp_path / "mem.tnc").read_bytes()
+
+
+def test_divergence_in_an_epochs_last_step_is_one_line_error(tmp_path, capsys):
+    cfg_path = write_tiny_config(tmp_path / "run.cfg", per_class=11, batch_size=64, lr0=1e308)
+    dataset, _, _ = experiment.seed_setup(load_config(cfg_path), 1)
+    assert len(dataset.train_ids) == 15  # one batch per epoch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "train", "--config", str(cfg_path), "--out", str(tmp_path / "m.tnh"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: non-finite training loss at epoch 0: EpochLog(epoch=0, k=3, lr=1e+308, loss=")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.tnh").exists()
+

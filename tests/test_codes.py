@@ -210,6 +210,14 @@ def test_pack_matrix_matches_row_by_row_pack():
         pack_matrix(np.array([1, 0, -1]))
 
 
+def test_single_codes_are_unhashable():
+    # they compare by value, so like CodeMatrix they must not hash by identity or field
+    one = code(1, 0, -1)
+    for obj in (one, pack(one)):
+        with pytest.raises(TypeError, match=f"^unhashable type: '{type(obj).__name__}'$"):
+            hash(obj)
+
+
 def test_code_matrix_is_a_sequence_of_packed_codes():
     rng = np.random.default_rng(11)
     trits = random_trits(rng, 6, 70)

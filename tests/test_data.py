@@ -1,6 +1,8 @@
 import os
+import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +230,16 @@ def test_gen_synthetic_validation():
 def test_gen_synthetic_rejects_a_spread_that_is_not_finite_and_non_negative(spread):
     with pytest.raises(ValueError, match=f"^spread must be finite and non-negative, got {spread!r}$"):
         gen_synthetic(3, 10, 4, spread, 1)
+
+
+@pytest.mark.parametrize("spread", [1e300, 1e308])
+def test_gen_synthetic_rejects_a_spread_that_overflows_float32(spread):
+    # 1e300 overflows in the float32 cast, 1e308 already in float64; neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"spread {spread!r} overflows the float32 features of class 0")):
+            gen_synthetic(3, 10, 4, spread, 1)
+    assert np.isfinite(gen_synthetic(3, 10, 4, 1e30, 1).features).all()
 
 
 def test_features_file_roundtrip(tmp_path):

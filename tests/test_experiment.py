@@ -1,4 +1,6 @@
 import collections
+import difflib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +284,17 @@ def test_checkpoint_of_a_trained_net_encodes_like_the_net(tmp_path):
         assert q.tobytes() == p.tobytes()
     assert hash_features(loaded, dataset.features).tobytes() == hash_features(net, dataset.features).tobytes()
     assert encode_dataset(loaded, dataset.features) == encode_dataset(net, dataset.features)
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+def test_reference_report_matches_the_pinned_text(reference_results, dim):
+    """The compare report of each reference config, byte for byte as pinned in tests/golden."""
+    want = (GOLDEN_DIR / f"reference_d{dim}.txt").read_text(encoding="utf-8")
+    got = format_experiment_report(reference_results[dim][0])
+    diff = list(difflib.unified_diff(want.splitlines(), got.splitlines(), "pinned", "now", lineterm=""))
+    print("\n".join(diff))
+    assert got == want, f"reference_d{dim} report differs in {sum(1 for d in diff if d[:1] in '+-') - 2} lines"
+

@@ -30,8 +30,10 @@ from ternhash import (
     sgd_momentum_step,
     smooth_ternary,
     smooth_ternary_grad,
+    pack_matrix,
     train,
 )
+from ternhash.harness import encode_dataset
 
 SMALL = NetworkConfig(input_dim=3, hidden_dims=(5,), code_dim=4, num_classes=3, seed=11)
 DEEP = NetworkConfig(input_dim=3, hidden_dims=(12, 10), code_dim=5, num_classes=3, seed=7)
@@ -577,6 +579,20 @@ def test_diverging_run_raises_floating_point_error_without_warnings(ternary):
     assert hook
 
 
+@pytest.mark.parametrize("ternary", [True, False])
+def test_divergence_in_an_epochs_last_step_raises_before_the_hook(ternary):
+    # 15 rows make one batch per epoch, so the step that diverges is the epoch's last
+    feats, labels = small_problem()
+    hook = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the epoch's loss is finite: the step after it left inf parameters
+        with pytest.raises(FloatingPointError, match=r"^non-finite training loss at epoch 0: EpochLog\(.*loss=\d"):
+            train(SMALL, quick_train_cfg(lr0=1e308, batch_size=64), feats[:15], labels[:15], ternary=ternary,
+                  epoch_hook=lambda net, e: hook.append(quantization_error(net, feats, e.k)))
+    assert hook == []
+
+
 @pytest.mark.parametrize("trained", [False, True])
 def test_benchmark_isolated_step_sequence(trained):
     # the call sequence benchmarks/workloads.py times in isolation, on both kinds of net it can meet
@@ -625,20 +641,66 @@ def test_row_blocks_are_near_equal():
             assert R <= min(sizes) and max(sizes) < 2 * R
 
 
-def test_hash_features_keeps_no_layer_caches():
-    net = with_dtype(Network.initialize(WIDE), np.float32)
-    feats = np.random.default_rng(6).normal(size=(20_000, 64)).astype(np.float32)
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes while it ran)."""
     tracemalloc.start()
     try:
-        out = hash_features(net, feats)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def wide_rows():
+    """A float32 WIDE net and 20,000 float32 rows for it."""
+    feats = np.random.default_rng(6).normal(size=(20_000, 64)).astype(np.float32)
+    return with_dtype(Network.initialize(WIDE), np.float32), feats
+
+
+def test_hash_features_keeps_no_layer_caches():
+    net, feats = wide_rows()
+    out, peak = traced_peak(hash_features, net, feats)
     # the cached training forward peaks near 85 MB here
     assert peak < 16e6
-    # besides the output, two 256-wide float32 blocks of at most 2R-1 rows are alive at once:
-    # about 2.2 MB at R = 1024, 4.6 MB at 2048 and 10.3 MB at 4096, which overflows a 2 MB L2
-    assert peak - out.nbytes < 3e6
+    # besides the output, two 256-wide float32 blocks of R to 2R-1 rows and the hash buffer are alive
+    # at once: about 0.60 MB at R = 256 and 2.19 MB at R = 1024
+    assert peak - out.nbytes < 1e6
+
+
+def test_quantization_error_streams_its_blocks():
+    net, feats = wide_rows()
+    _, peak = traced_peak(quantization_error, net, feats, 7)
+    # one [n, d] error array plus per-block temporaries: about 0.62 MB over it; whole-set
+    # hash layer, activation and difference arrays take 5.12 MB over it
+    assert peak - feats.shape[0] * WIDE.code_dim * 4 < 1.5e6
+
+
+def test_encode_dataset_streams_its_blocks():
+    net, feats = wide_rows()
+    codes, peak = traced_peak(encode_dataset, net, feats)
+    # the planes plus per-block temporaries and the plane check: about 0.60 MB over them;
+    # whole-set floats, trits and bit array take 3.15 MB over them
+    assert peak - codes.planes.nbytes < 1.5e6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_encode_dataset_is_the_packed_hash_layer_at_every_block_split(dtype):
+    net = with_dtype(Network.initialize(WIDE), dtype)
+    feats = np.random.default_rng(4).normal(size=(5 * R + 3, 64)).astype(dtype)
+    for n in (1, R - 1, R, R + 1, 2 * R + 1, 5 * R + 3):
+        got = encode_dataset(net, feats[:n])
+        want = pack_matrix(hard_ternary(hash_features(net, feats[:n]), WIDE.activation.alpha))
+        assert got.planes.tobytes() == want.planes.tobytes(), n
+
+
+def test_inference_forward_checks_every_block_for_finiteness():
+    net = with_dtype(Network.initialize(WIDE), np.float32)
+    for bad in (np.nan, np.inf, 1e39):  # 1e39 is past float32's range: inf after the cast
+        feats = np.zeros((3 * R, 64))
+        feats[-1, 5] = bad
+        for fn in (hash_features, lambda n, x: quantization_error(n, x, 3), encode_dataset):
+            with pytest.raises(ValueError, match="^batch must be finite$"):
+                fn(net, feats)
 
 
 def forward_quantization_error(net, feats, k):
@@ -653,9 +715,9 @@ def test_quantization_error_equals_the_forward_expression(k):
     rng = np.random.default_rng(9)
     train_feats = rng.normal(size=(60, 16))
     trained, _ = train(cfg, quick_train_cfg(epochs=2), train_feats, rng.integers(0, 3, size=60))
-    feats = rng.normal(size=(2 * R + 1, 16))
+    feats = rng.normal(size=(5 * R + 3, 16))
     for net in (Network.initialize(cfg), trained):
-        for n in (R - 1, R, R + 1, 2 * R + 1):
+        for n in (R - 1, R, R + 1, 2 * R + 1, 5 * R + 3):
             assert quantization_error(net, feats[:n], k) == forward_quantization_error(net, feats[:n], k)
 
 
