@@ -24,6 +24,8 @@ class ActivationConfig:
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)) or self.alpha <= 0:
             raise ValueError(f"alpha must be a positive finite real, got {self.alpha!r}")
+        if self.alpha <= 2.0**-150:  # float32 rounds it to 0, and a float32 network divides by it
+            raise ValueError(f"alpha {self.alpha!r} rounds to 0 in float32, in which training computes")
         if not isinstance(self.k, int) or self.k < 3 or self.k % 2 == 0:
             raise ValueError(f"k must be an odd integer >= 3, got {self.k!r}")
 

@@ -65,7 +65,7 @@ def _checked_planes(planes, d: int, lead: int) -> np.ndarray:
     if (planes[..., 0, :] & planes[..., 1, :]).any():
         raise ValueError("a trit cannot be both +1 and -1")
     tail = d % 64
-    if tail and (planes[..., -1] >> tail).any():
+    if tail and (planes[..., -1] >= np.uint64(1 << tail)).any():  # a bool temporary, an eighth of the words
         raise ValueError(f"bits set beyond d={d}")
     return planes
 
@@ -176,12 +176,6 @@ def pack_matrix(trits) -> CodeMatrix:
     if not _is_trits(arr):
         raise ValueError("trits must take values in {-1, 0, +1}")
     return CodeMatrix(planes=_pack_planes(arr), d=arr.shape[1])
-
-
-def unpack(packed: PackedCode) -> TernaryCode:
-    """Inverse of pack."""
-    pos, neg = np.unpackbits(packed.planes.astype("<u8").view(np.uint8), axis=-1, bitorder="little")[:, : packed.d]
-    return TernaryCode(pos.astype(np.int8) - neg.astype(np.int8))
 
 
 def encode_binary(code: TernaryCode) -> str:

@@ -13,32 +13,12 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..activation import ActivationConfig, ContinuationSchedule, hard_ternary, schedule_k
-from ..codes import CodeMatrix, _pack_planes, _words
-from ..network import (
-    Network,
-    NetworkConfig,
-    TrainConfig,
-    _check_batch,
-    _hash_blocks,
-    quantization_error,
-    train,
-)
+from ..activation import ActivationConfig, ContinuationSchedule, schedule_k
+from ..codes import CodeMatrix
+from ..network import Network, NetworkConfig, TrainConfig, encode_dataset, quantization_error, train
 from ..retrieval import RetrievalIndex, _resolve_k, mean_ap
 from .config import GENERATOR_KEYS, ExperimentConfig
 from .data import Dataset, gen_synthetic, load_splits, single_labels
-
-
-def encode_dataset(net: Network, features) -> CodeMatrix:
-    """Hash, threshold at the network's alpha, and pack: one code per feature row, block by block into the planes."""
-    d = net.config.code_dim
-    arr = _check_batch(features, net.config.input_dim, net.dtype, finite=False)
-    planes = np.empty((arr.shape[0], 2, _words(d)), dtype=np.uint64)
-    for rows, hash_pre in _hash_blocks(net, arr):
-        planes[rows] = _pack_planes(hard_ternary(hash_pre, net.config.activation.alpha))
-    return CodeMatrix(planes=planes, d=d)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .activation import (  # smooth_ternary_grad is unused here but stays import
     smooth_ternary,
     smooth_ternary_grad,
 )
+from .codes import CodeMatrix, _pack_planes, _words
 
 _CHECKPOINT_MAGIC = b"TNH1"
 # Rows per block of the inference forward: a 256-wide float32 block is 256 KB
@@ -143,14 +144,14 @@ def _check_labels(labels, batch_size: int, num_classes: int) -> np.ndarray:
     return arr
 
 
-def _layer(net: Network, i: int, h: np.ndarray, out=None) -> np.ndarray:
+def _layer(net: Network, i: int, h: np.ndarray) -> np.ndarray:
     """Layer i of the hidden stack or the hash layer on rows h: h @ W + b, then max(0, .) or, for the hash layer,
-    tanh into out (a fresh array if None). The one spelling of both, so training and inference stay bit-equal."""
+    tanh, in place. The one spelling of both, so training and inference stay bit-equal."""
     z = h @ net.weights[i]
     z += net.biases[i]
     if i < len(net.config.hidden_dims):
         return np.maximum(z, 0, out=z)
-    return np.tanh(z, out=z if out is None else out)
+    return np.tanh(z, out=z)
 
 
 def _forward_cached(net: Network, batch: np.ndarray, k):
@@ -315,19 +316,6 @@ def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, m
     return net, state
 
 
-def quantization_error(net: Network, features, k) -> float:
-    """Mean |activation - hard quantization| of the hash layer over a feature set, filled in block by block."""
-    alpha = net.config.activation.alpha
-    cfg = None if k is None else ActivationConfig(alpha, k)
-    arr = _check_batch(features, net.config.input_dim, net.dtype, finite=False)
-    err = np.empty((arr.shape[0], net.config.code_dim), dtype=net.dtype)
-    for rows, hash_pre in _hash_blocks(net, arr):
-        hash_act = hash_pre if cfg is None else smooth_ternary(hash_pre, cfg)
-        diff = np.subtract(hash_act, hard_ternary(hash_pre, alpha), out=err[rows])
-        np.abs(diff, out=diff)
-    return float(err.mean())
-
-
 def _row_blocks(n: int):
     """[start, stop) bounds of n // _ROW_BLOCK near-equal blocks; fewer than 2R rows make one block."""
     count = max(1, n // _ROW_BLOCK)
@@ -335,19 +323,25 @@ def _row_blocks(n: int):
     return zip(bounds, bounds[1:])
 
 
-def _hash_blocks(net: Network, arr: np.ndarray):
-    """The inference forward: (rows, hash layer of arr[rows]) per block of a shape-checked batch.
+def _inference(net: Network, features, shape: tuple, dtype, fill) -> np.ndarray:
+    """The blocked inference forward: an [n, *shape] array whose rows of each block are fill(hash layer of the block).
 
-    Each block is checked finite as it is reached. No per-layer caches and no
-    classifier; every hash block is one buffer, overwritten by the next block.
+    Each block's rows are checked finite as it is reached. No per-layer caches
+    and no classifier. Overflow inside the layers is not warned about: a hash
+    block that comes out non-finite is one ValueError naming its first bad row.
     """
-    n_hidden = len(net.config.hidden_dims)
-    buf = np.empty((min(arr.shape[0], 2 * _ROW_BLOCK - 1), net.config.code_dim), dtype=net.dtype)
+    arr = _check_batch(features, net.config.input_dim, net.dtype, finite=False)
+    out = np.empty((arr.shape[0], *shape), dtype=dtype)
     for start, stop in _row_blocks(arr.shape[0]):
         h = _check_batch(arr[start:stop], net.config.input_dim, net.dtype)
-        for i in range(n_hidden):
-            h = _layer(net, i, h)
-        yield slice(start, stop), _layer(net, n_hidden, h, buf[: stop - start])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(net.config.hidden_dims) + 1):
+                h = _layer(net, i, h)
+            if not np.isfinite(h).all():  # the per-row search runs only on failure
+                row = start + int(np.argmin(np.isfinite(h).all(axis=1)))
+                raise ValueError(f"the hash layer of row {row} is not finite: its features overflow the network")
+            out[start:stop] = fill(h)
+    return out
 
 
 def hash_features(net: Network, features) -> np.ndarray:
@@ -356,11 +350,26 @@ def hash_features(net: Network, features) -> np.ndarray:
     The blocked inference forward. Its layers are forward's, so it is bit-equal to forward(net, features, None)[0]
     wherever BLAS rounds a block as it rounds the whole batch, as it does at the reference widths.
     """
-    arr = _check_batch(features, net.config.input_dim, net.dtype, finite=False)
-    out = np.empty((arr.shape[0], net.config.code_dim), dtype=net.dtype)
-    for rows, hash_pre in _hash_blocks(net, arr):
-        out[rows] = hash_pre
-    return out
+    return _inference(net, features, (net.config.code_dim,), net.dtype, lambda h: h)
+
+
+def quantization_error(net: Network, features, k) -> float:
+    """Mean |activation - hard quantization| of the hash layer over a feature set, filled in block by block."""
+    alpha = net.config.activation.alpha
+    cfg = None if k is None else ActivationConfig(alpha, k)
+
+    def error(h):
+        diff = (h if cfg is None else smooth_ternary(h, cfg)) - hard_ternary(h, alpha)
+        return np.abs(diff, out=diff)
+
+    return float(_inference(net, features, (net.config.code_dim,), net.dtype, error).mean())
+
+
+def encode_dataset(net: Network, features) -> CodeMatrix:
+    """Hash, threshold at the network's alpha, and pack: one code per feature row, block by block into the planes."""
+    d, alpha = net.config.code_dim, net.config.activation.alpha
+    planes = _inference(net, features, (2, _words(d)), np.uint64, lambda h: _pack_planes(hard_ternary(h, alpha)))
+    return CodeMatrix(planes=planes, d=d)
 
 
 def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, ternary: bool = True, epoch_hook=None):

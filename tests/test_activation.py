@@ -30,6 +30,14 @@ def test_config_validation():
         ActivationConfig(0.5, 1)
 
 
+def test_config_rejects_an_alpha_that_float32_rounds_to_zero():
+    # a float32 network divides by float32(alpha); the smallest float32 subnormal is about 1.4e-45
+    for alpha in (1e-320, 7e-46):
+        with pytest.raises(ValueError, match=rf"^alpha {alpha!r} rounds to 0 in float32, in which training computes$"):
+            ActivationConfig(alpha, 3)
+    assert np.float32(ActivationConfig(1e-45, 3).alpha) > 0
+
+
 def test_smooth_ternary_values():
     cfg = ActivationConfig(0.5, 3)
     assert smooth_ternary(0.0, cfg) == 0.0

@@ -51,7 +51,7 @@ def load_oracle():
     return module
 
 
-@pytest.mark.parametrize("d", [1, 32, 33, 64, 65, 130])
+@pytest.mark.parametrize("d", [1, 4, 32, 33, 63, 64, 65, 70, 128, 130])
 def test_oracle_reads_packed_codes_and_tnc_files(tmp_path, d):
     oracle = load_oracle()
     trits = np.random.default_rng(d).integers(-1, 2, size=(7, d)).astype(np.int8)

@@ -388,3 +388,67 @@ def test_divergence_in_an_epochs_last_step_is_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "m.tnh").exists()
 
+
+def test_encode_of_features_that_overflow_the_network_is_one_line_error(tmp_path, capsys):
+    from ternhash import ContinuationSchedule, Network, NetworkConfig, save_checkpoint
+    from ternhash.harness import save_features
+
+    cfg = NetworkConfig(input_dim=64, hidden_dims=(256, 256), code_dim=16, num_classes=10, seed=2)
+    net = Network(config=cfg, flat=Network.initialize(cfg).flat.astype(np.float32))
+    save_checkpoint(tmp_path / "m.tnh", net, ContinuationSchedule())
+    feats = np.zeros((40, 64), dtype=np.float32)
+    feats[7] = 3e38  # finite, but the first layers overflow float32
+    save_features(tmp_path / "x.tfv", feats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "encode", "--checkpoint", str(tmp_path / "m.tnh"),
+                             "--features", str(tmp_path / "x.tfv"), "--out", str(tmp_path / "o.tnc"))
+    assert caught == []
+    assert code == 1 and out == ""
+    assert err == "error: the hash layer of row 7 is not finite: its features overflow the network\n"
+    assert not (tmp_path / "o.tnc").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "train"])
+def test_an_alpha_that_float32_rounds_to_zero_fails_before_training(tmp_path, capsys, monkeypatch, command):
+    from ternhash.harness import cli
+
+    trained = []
+    monkeypatch.setattr(cli if command == "train" else experiment, "train", lambda *a, **kw: trained.append(a))
+    cfg_path = write_tiny_config(tmp_path / "run.cfg", alpha=1e-320)
+    argv = ["--out", str(tmp_path / "m.tnh")] if command == "train" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, "--config", str(cfg_path), *argv)
+    assert caught == [] and trained == []
+    assert code == 1 and out == ""
+    assert err == "error: alpha 1e-320 rounds to 0 in float32, in which training computes\n"
+
+
+CONTRACT_CONFIG = dict(classes=3, per_class=20, input_dim=4, hidden_dims=(8,), code_dim=4, k_start=3, k_end=5,
+                       stride_epochs=1, epochs=2, batch_size=16, seeds=(1,))
+# None drops the key; 1e-320 is subnormal in float64 and 0 in float32
+CONTRACT_VALUES = (None, "0", "-1", "1e300", "nan", "inf", str(2**64), "1e-320")
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+@pytest.mark.parametrize("command", ["compare", "train"])
+def test_every_config_value_runs_or_is_one_line_error(tmp_path, capsys, command, key):
+    # the CLI's contract: exit 0 and a silent stderr, or exit 1 and one `error:` line; never a numpy warning
+    base = write_tiny_config(tmp_path / "base.cfg", **CONTRACT_CONFIG).read_text().splitlines()
+    broken = []
+    for value in CONTRACT_VALUES:
+        if (key, value) == ("epochs", str(2**64)):
+            continue  # a valid config that trains for ever, not a defect
+        lines = [line for line in base if line.split(" = ")[0] != key]
+        if value is not None:
+            lines.append(f"{key} = {value}")
+        (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+        argv = ["--out", str(tmp_path / "m.tnh")] if command == "train" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, command, "--config", str(tmp_path / "run.cfg"), *argv)
+        ok = (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)
+        if not ok or caught:
+            broken.append((value, code, err, [str(w.message) for w in caught]))
+    assert broken == []

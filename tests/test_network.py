@@ -662,7 +662,7 @@ def test_hash_features_keeps_no_layer_caches():
     out, peak = traced_peak(hash_features, net, feats)
     # the cached training forward peaks near 85 MB here
     assert peak < 16e6
-    # besides the output, two 256-wide float32 blocks of R to 2R-1 rows and the hash buffer are alive
+    # besides the output, two 256-wide float32 blocks of R to 2R-1 rows and the hash block are alive
     # at once: about 0.60 MB at R = 256 and 2.19 MB at R = 1024
     assert peak - out.nbytes < 1e6
 
@@ -701,6 +701,21 @@ def test_inference_forward_checks_every_block_for_finiteness():
         for fn in (hash_features, lambda n, x: quantization_error(n, x, 3), encode_dataset):
             with pytest.raises(ValueError, match="^batch must be finite$"):
                 fn(net, feats)
+
+
+def test_inference_overflow_is_one_error_naming_the_first_bad_row():
+    # finite float32 features whose layers overflow: no numpy warning, one ValueError for the row in the third block
+    net = with_dtype(Network.initialize(WIDE), np.float32)
+    feats = np.zeros((3 * R, 64), dtype=np.float32)
+    feats[[2 * R + 5, 2 * R + 9]] = 3e38
+    message = f"^the hash layer of row {2 * R + 5} is not finite: its features overflow the network$"
+    for fn in (hash_features, lambda n, x: quantization_error(n, x, 3), lambda n, x: quantization_error(n, x, None),
+               encode_dataset):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                fn(net, feats)
+        assert caught == []
 
 
 def forward_quantization_error(net, feats, k):
