@@ -228,7 +228,9 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
 
     normalization selects the AP denominator: "found" counts relevant items
     inside the top-k cut, "capped" uses min(total relevant in index, k).
-    Queries that share a label set share one relevance mask, built once.
+    Queries that share a label set share one relevance mask, built once and
+    dropped before the next set's. An AP depends only on the pair (label set,
+    code), so each distinct pair is ranked and scored once.
     """
     if normalization not in ("found", "capped"):
         raise ValueError(f'normalization must be "found" or "capped", got {normalization!r}')
@@ -243,17 +245,20 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
     if not np.diff(labels.indptr).all():
         raise ValueError("every query needs at least one label")
     ids, bounds = labels.ids.tolist(), labels.indptr.tolist()
-    groups = {}  # rows are sorted and distinct, so equal sets give equal tuples
-    for q, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        groups.setdefault(tuple(ids[a:b]), []).append(q)
     scan = _scan_rows(queries)
+    codes = scan.tolist() if scan.ndim == 1 else list(map(tuple, scan.tolist()))
+    groups = {}  # label set -> code -> queries; rows are sorted and distinct, so equal sets give equal tuples
+    for q, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        groups.setdefault(tuple(ids[a:b]), {}).setdefault(codes[q], []).append(q)
     aps = [0.0] * len(queries)
-    for label_set, members in groups.items():
+    for label_set, by_code in groups.items():
         relevant = index._relevant(np.array(label_set, dtype=np.int64))
         total = min(int(np.count_nonzero(relevant)), cut) if normalization == "capped" else None
-        for q in members:
-            order, _ = _rank(index, scan[q], cut)
-            aps[q] = average_precision(relevant[order], cut, total_relevant=total)
+        for members in by_code.values():
+            order, _ = _rank(index, scan[members[0]], cut)
+            ap = average_precision(relevant[order], cut, total_relevant=total)
+            for q in members:
+                aps[q] = ap
     acc = 0.0
     for ap in aps:
         acc += ap

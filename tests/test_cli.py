@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ternhash.harness import experiment, load_config, save_config, save_splits, ExperimentConfig
+from ternhash.harness.config import GENERATOR_KEYS
 from ternhash.harness.cli import main
 
 
@@ -431,10 +432,27 @@ CONTRACT_CONFIG = dict(classes=3, per_class=20, input_dim=4, hidden_dims=(8,), c
 CONTRACT_VALUES = (None, "0", "-1", "1e300", "nan", "inf", str(2**64), "1e-320")
 
 
+def contract_break(capsys, *argv):
+    """None when the CLI keeps its contract on argv, else what it did.
+
+    The contract: exit 0 and a silent stderr, or exit 1 and one `error:` line,
+    or argparse's exit 2 for a flag value that does not parse; never a
+    warning. Any other exception propagates, so a traceback fails the test.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, _, err = run(capsys, *argv)
+        except SystemExit as exc:
+            code, err = exc.code, capsys.readouterr().err
+    ok = (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)
+    ok = ok or (code == 2 and ": invalid " in err.splitlines()[-1])
+    return None if ok and not caught else (argv, code, err, [str(w.message) for w in caught])
+
+
 @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
 @pytest.mark.parametrize("command", ["compare", "train"])
 def test_every_config_value_runs_or_is_one_line_error(tmp_path, capsys, command, key):
-    # the CLI's contract: exit 0 and a silent stderr, or exit 1 and one `error:` line; never a numpy warning
     base = write_tiny_config(tmp_path / "base.cfg", **CONTRACT_CONFIG).read_text().splitlines()
     broken = []
     for value in CONTRACT_VALUES:
@@ -445,10 +463,67 @@ def test_every_config_value_runs_or_is_one_line_error(tmp_path, capsys, command,
             lines.append(f"{key} = {value}")
         (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
         argv = ["--out", str(tmp_path / "m.tnh")] if command == "train" else []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _, err = run(capsys, command, "--config", str(tmp_path / "run.cfg"), *argv)
-        ok = (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)
-        if not ok or caught:
-            broken.append((value, code, err, [str(w.message) for w in caught]))
-    assert broken == []
+        broken.append(contract_break(capsys, command, "--config", str(tmp_path / "run.cfg"), *argv))
+    assert broken == [None] * len(broken)
+
+
+@pytest.mark.parametrize("flag", [*GENERATOR_KEYS, "seed"])
+def test_every_gen_flag_value_runs_or_is_one_line_error(tmp_path, capsys, flag):
+    base = dict(classes="3", per_class="20", input_dim="8")
+    broken = []
+    for value in CONTRACT_VALUES[1:]:
+        given = {**base, flag: value}
+        argv = [arg for key, v in given.items() for arg in (f"--{key.replace('_', '-')}", v)]
+        broken.append(contract_break(capsys, "gen", *argv, "--out", str(tmp_path / "data")))
+    assert broken == [None] * len(broken)
+
+
+def tiny_files(tmp_path):
+    """A valid .tnh (2 -> 3 -> 4 -> 2 net), .tfv (3 x 2), .tnc (3 codes, d = 6) and .labels (3 rows)."""
+    from ternhash import ContinuationSchedule, Network, NetworkConfig, pack_matrix, save_checkpoint, save_codes
+    from ternhash.harness import save_features, save_labels
+
+    paths = {kind: tmp_path / f"x.{kind}" for kind in ("tnh", "tfv", "tnc", "labels")}
+    net = Network.initialize(NetworkConfig(input_dim=2, hidden_dims=(3,), code_dim=4, num_classes=2))
+    save_checkpoint(paths["tnh"], net, ContinuationSchedule())
+    save_features(paths["tfv"], np.array([[0.5, -1.0], [2.0, 0.0], [-0.25, 3.0]], dtype=np.float32))
+    save_codes(paths["tnc"], pack_matrix([[1, 0, -1, 0, 1, 1], [0, 0, 0, 0, 0, 0], [-1, -1, 1, 0, 0, 1]]))
+    save_labels(paths["labels"], [{0}, {1}, {0, 1}])
+    return paths
+
+
+def corruptions(blob):
+    """Every truncation, each first-40 byte overwritten by each of a few telling bytes, and one appended byte."""
+    yield from (blob[:cut] for cut in range(len(blob)))
+    for at in range(min(40, len(blob))):
+        for byte in b"\x00\x01\x7f\x80\xff,\n- ":
+            yield blob[:at] + bytes([byte]) + blob[at + 1 :]
+    yield blob + b"1"
+
+
+@pytest.mark.parametrize("kind", ["tnh", "tfv", "tnc", "labels"])
+def test_every_corrupt_file_runs_or_is_one_line_error(tmp_path, capsys, kind):
+    paths = tiny_files(tmp_path)
+    bad = tmp_path / f"bad.{kind}"
+    files = {**{k: str(p) for k, p in paths.items()}, kind: str(bad)}
+    if kind in ("tnh", "tfv"):
+        argv = ["encode", "--checkpoint", files["tnh"], "--features", files["tfv"], "--out", str(tmp_path / "o.tnc")]
+    else:  # the corrupt file in both roles
+        argv = ["eval", "--codes", files["tnc"], "--labels", files["labels"],
+                "--query-codes", files["tnc"], "--query-labels", files["labels"]]
+    broken = []
+    for blob in corruptions(paths[kind].read_bytes()):
+        bad.write_bytes(blob)
+        broken.append(contract_break(capsys, *argv))
+    assert broken == [None] * len(broken)
+
+
+def test_every_eval_k_runs_or_is_one_line_error(tmp_path, capsys):
+    paths = {kind: str(path) for kind, path in tiny_files(tmp_path).items()}
+    files = ["--codes", paths["tnc"], "--labels", paths["labels"],
+             "--query-codes", paths["tnc"], "--query-labels", paths["labels"]]
+    n, broken = 3, []  # n: the codes in the index
+    for k in ("0", "-1", "1e300", "nan", str(2**64), str(n), str(n + 1), "all"):
+        for normalization in ("found", "capped"):
+            broken.append(contract_break(capsys, "eval", *files, "--k", k, "--normalization", normalization))
+    assert broken == [None] * len(broken)

@@ -16,6 +16,7 @@ from ternhash import (
     pack,
     pack_matrix,
     query_topk,
+    retrieval,
 )
 
 
@@ -295,6 +296,36 @@ def test_queries_sharing_a_label_set_score_like_the_reference(d, monkeypatch):
                 # one relevance mask per distinct set, in order of first use
                 assert masks == [[1, 3], [2], [7], [8, 9], [4, 7], [0, 1, 2, 3, 4]]
     assert aps[5] == aps[6] == 0.0
+
+
+@pytest.mark.parametrize("d", [16, 70])
+def test_each_distinct_label_set_and_code_is_ranked_once(d, monkeypatch):
+    # codes repeat across and within label sets, and the sets come in different orders and with repeats
+    rng = np.random.default_rng(500 + d)
+    codes, labels = tied_instance(rng, 150, d)
+    drawn, _ = tied_instance(rng, 10, d)
+    qcodes = [drawn[i] for i in rng.integers(0, len(drawn), size=40)]
+    given_sets = [[1, 3], [3, 1], [3, 1, 3], [2], [2, 2], [0, 4]]
+    rows = [given_sets[i] for i in rng.integers(0, len(given_sets), size=len(qcodes))]
+    qlabels = [frozenset(row) for row in rows]
+    pairs = {(ls, q.planes.tobytes()) for ls, q in zip(qlabels, qcodes)}
+    assert len(pairs) < len(qcodes)
+    index = RetrievalIndex(codes=codes, labels=labels)
+    calls, rank = [], retrieval._rank
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(retrieval, "_rank", counted)
+    for k in (1, tie_cut(codes, qcodes[0]), "all"):
+        for normalization in ("found", "capped"):
+            aps, mean = reference_mean_ap(codes, labels, qcodes, qlabels, k, normalization)
+            calls.clear()
+            report = mean_ap(index, qcodes, rows, k, normalization=normalization)
+            assert report.per_query_ap == aps
+            assert report.map == mean
+            assert len(calls) == len(pairs)
 
 
 def test_mean_ap_topk_memory_stays_small():
