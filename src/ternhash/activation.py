@@ -113,15 +113,26 @@ def hard_ternary(x, alpha: float):
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
     arr = _as_finite(x)
-    alpha = bound = float(alpha)
-    if arr.dtype == np.float32:
-        with np.errstate(over="ignore"):
-            bound = np.float32(alpha)
-        # float(bound), not bound: comparing the float32 scalar with a Python float would run in float32
-        if float(bound) < alpha:
-            bound = np.nextafter(bound, np.float32(np.inf))
+    bound = _threshold(arr.dtype, alpha)
     out = np.asarray(arr >= bound).view(np.int8) - np.asarray(arr <= -bound).view(np.int8)
     return int(out) if arr.ndim == 0 else out
+
+
+def _threshold(dtype, alpha: float):
+    """The bound that values of dtype are held against, so that v >= bound is v >= alpha in float64.
+
+    alpha itself for float64; for float32, the smallest float32 >= alpha, which
+    no float32 falls between.
+    """
+    alpha = float(alpha)
+    if dtype != np.float32:
+        return alpha
+    with np.errstate(over="ignore"):
+        bound = np.float32(alpha)
+    # float(bound), not bound: comparing the float32 scalar with a Python float would run in float32
+    if float(bound) < alpha:
+        bound = np.nextafter(bound, np.float32(np.inf))
+    return bound
 
 
 def schedule_k(epoch: int, sched: ContinuationSchedule) -> int:

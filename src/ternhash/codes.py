@@ -154,18 +154,24 @@ def ternarize(features, alpha: float) -> TernaryCode:
     return TernaryCode(hard_ternary(arr, alpha))
 
 
-def _pack_planes(trits: np.ndarray) -> np.ndarray:
-    """[n, d] trits -> [n, 2, words] planes, positive plane first; bit i of a plane is trit i."""
-    n, d = trits.shape
+def _pack_planes(values: np.ndarray, lo, hi) -> np.ndarray:
+    """[n, d] values -> [n, 2, words] planes, positive plane first.
+
+    Bit i of the positive plane is values[:, i] >= hi, of the negative plane
+    values[:, i] <= lo, compared straight into the zero-padded bit buffer.
+    Trits pack with lo = -1 and hi = 1; encode packs hash values at the
+    quantizer's -t and t.
+    """
+    n, d = values.shape
     bits = np.zeros((n, 2, 64 * _words(d)), dtype=bool)
-    np.equal(trits, 1, out=bits[:, 0, :d])
-    np.equal(trits, -1, out=bits[:, 1, :d])
+    np.greater_equal(values, hi, out=bits[:, 0, :d])
+    np.less_equal(values, lo, out=bits[:, 1, :d])
     return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False).reshape(n, 2, _words(d))
 
 
 def pack(code: TernaryCode) -> PackedCode:
     """Split trits into the two bitplanes."""
-    return PackedCode(planes=_pack_planes(code.trits[None, :])[0], d=code.trits.size)
+    return PackedCode(planes=_pack_planes(code.trits[None, :], -1, 1)[0], d=code.trits.size)
 
 
 def pack_matrix(trits) -> CodeMatrix:
@@ -175,7 +181,7 @@ def pack_matrix(trits) -> CodeMatrix:
         raise ValueError(f"trits must be an [n x d] matrix with d >= 1, got shape {arr.shape}")
     if not _is_trits(arr):
         raise ValueError("trits must take values in {-1, 0, +1}")
-    return CodeMatrix(planes=_pack_planes(arr), d=arr.shape[1])
+    return CodeMatrix(planes=_pack_planes(arr, -1, 1), d=arr.shape[1])
 
 
 def encode_binary(code: TernaryCode) -> str:

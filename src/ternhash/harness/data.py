@@ -18,6 +18,7 @@ from .._fileio import read_exact, read_payload, read_text, write_payload
 from ..retrieval import LabelSets
 
 _FEATURES_MAGIC = b"TFV1"
+_MAX_SIZE = np.iinfo(np.intp).max  # numpy's largest array dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +113,11 @@ def gen_synthetic(
     training subset. Deterministic per seed. A spread whose samples overflow
     float32 raises ValueError.
     """
-    if classes < 1 or per_class < 1 or input_dim < 1:
-        raise ValueError(f"classes, per_class, input_dim must be positive, got {(classes, per_class, input_dim)}")
+    for name, size in (("classes", classes), ("per_class", per_class), ("input_dim", input_dim)):
+        if not 1 <= size <= _MAX_SIZE:
+            raise ValueError(f"{name} must be an integer in [1, {_MAX_SIZE}], got {size!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 <= spread < np.inf:
         raise ValueError(f"spread must be finite and non-negative, got {spread!r}")
     if not 0 < query_fraction < 1 or not 0 < train_fraction <= 1:

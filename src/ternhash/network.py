@@ -25,6 +25,7 @@ from .activation import (  # smooth_ternary_grad is unused here but stays import
     ContinuationSchedule,
     _smooth_backward,
     _smooth_forward,
+    _threshold,
     hard_ternary,
     schedule_k,
     smooth_ternary,
@@ -366,9 +367,13 @@ def quantization_error(net: Network, features, k) -> float:
 
 
 def encode_dataset(net: Network, features) -> CodeMatrix:
-    """Hash, threshold at the network's alpha, and pack: one code per feature row, block by block into the planes."""
-    d, alpha = net.config.code_dim, net.config.activation.alpha
-    planes = _inference(net, features, (2, _words(d)), np.uint64, lambda h: _pack_planes(hard_ternary(h, alpha)))
+    """Hash and pack: one code per feature row, each hash block thresholded at +-alpha straight into the planes.
+
+    The bound is hard_ternary's for the net's dtype, so the codes are
+    pack_matrix(hard_ternary(hash_features(net, features), alpha)).
+    """
+    d, bound = net.config.code_dim, _threshold(net.dtype, net.config.activation.alpha)
+    planes = _inference(net, features, (2, _words(d)), np.uint64, lambda h: _pack_planes(h, -bound, bound))
     return CodeMatrix(planes=planes, d=d)
 
 

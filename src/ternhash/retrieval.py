@@ -164,9 +164,10 @@ def _check_length(index: RetrievalIndex, d: int) -> None:
 
 
 def _rank(index: RetrievalIndex, query: np.ndarray, cut: int) -> tuple:
-    """(ids, distances) of the first cut items for one _scan_rows query row: ascending distance, then ascending id.
+    """(order, dist) for one _scan_rows query row: the ids of the first cut items, and the distances of all items.
 
-    Equal to a stable argsort of the distances cut at cut. For cut < n, the
+    order ranks by ascending distance, then ascending id: a stable argsort of
+    dist cut at cut. The ranked distances are dist[order]. For cut < n, the
     cut-th smallest distance t is found by a partition, and only the items
     within t, in id order, are stably sorted. Distances fit the smallest
     unsigned dtype holding 2d; the partition runs in place on a copy at least
@@ -176,14 +177,14 @@ def _rank(index: RetrievalIndex, query: np.ndarray, cut: int) -> tuple:
     if dist.ndim == 2:
         dist = dist.sum(axis=1, dtype=np.min_scalar_type(2 * index.d))
     if cut == dist.size:
-        order = np.argsort(dist, kind="stable")
+        order = dist.argsort(kind="stable")
     else:
         wide = dist.astype(np.promote_types(dist.dtype, np.uint16))
         wide.partition(cut - 1)
         threshold = int(wide[cut - 1])
-        candidates = np.flatnonzero(dist <= threshold)
-        order = candidates[np.argsort(dist[candidates], kind="stable")[:cut]]
-    return order, dist[order]
+        candidates = (dist <= threshold).nonzero()[0]
+        order = candidates[dist[candidates].argsort(kind="stable")[:cut]]
+    return order, dist
 
 
 def query_topk(index: RetrievalIndex, query: PackedCode, k) -> list[tuple[int, int]]:
@@ -194,7 +195,7 @@ def query_topk(index: RetrievalIndex, query: PackedCode, k) -> list[tuple[int, i
     cut = _resolve_k(k, len(index))
     _check_length(index, query.d)
     ids, dist = _rank(index, _scan_rows(query), cut)
-    return list(zip(ids.tolist(), dist.tolist()))
+    return list(zip(ids.tolist(), dist[ids].tolist()))
 
 
 def average_precision(relevances, k: int, *, total_relevant=None) -> float:
@@ -206,7 +207,7 @@ def average_precision(relevances, k: int, *, total_relevant=None) -> float:
     """
     if k < 1 or k > len(relevances):
         raise ValueError(f"k must be in [1, {len(relevances)}], got {k!r}")
-    positions = np.flatnonzero(np.asarray(relevances[:k]))
+    positions = np.asarray(relevances[:k]).nonzero()[0]
     denom = len(positions) if total_relevant is None else total_relevant
     if len(positions) == 0 or denom == 0:
         return 0.0

@@ -9,8 +9,11 @@ from ternhash import (
     hard_ternary,
     schedule_k,
     smooth_ternary,
+    pack_matrix,
     smooth_ternary_grad,
 )
+from ternhash.activation import _threshold
+from ternhash.codes import _pack_planes
 
 GRID = np.arange(-200, 201) / 100.0
 KS = (3, 5, 7, 9, 11)
@@ -149,16 +152,23 @@ def reference_hard_ternary(x, alpha):
     return out
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.7, 1 / 3, 1e-30, 3e38])
-def test_hard_ternary_equals_the_float64_comparison(alpha):
-    # alpha in float64 and rounded to float32, each with its float32 and float64 neighbours, both signs
+ALPHAS = [0.5, 0.7, 1 / 3, 1e-30, 3e38]
+
+
+def values_around(alpha):
+    """alpha in float64 and rounded to float32, each with its float32 and float64 neighbours, both signs, and a few others."""
     near = []
     for a in (np.float64(alpha), np.float64(np.float32(alpha))):
         for dtype in (np.float32, np.float64):
             v = dtype(a)
             near += [v, np.nextafter(v, dtype(0)), np.nextafter(v, dtype(np.inf))]
     near = np.array(near, dtype=np.float64)
-    x = np.concatenate([near, -near, [0.0, -0.0, 1e-45, 0.25, 1.0, 3.4e38]])
+    return np.concatenate([near, -near, [0.0, -0.0, 1e-45, 0.25, 1.0, 3.4e38]])
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_hard_ternary_equals_the_float64_comparison(alpha):
+    x = values_around(alpha)
     for dtype in (np.float32, np.float64):
         xs = x.astype(dtype)
         got, want = hard_ternary(xs, alpha), reference_hard_ternary(xs, alpha)
@@ -169,6 +179,18 @@ def test_hard_ternary_equals_the_float64_comparison(alpha):
             got = hard_ternary(v, alpha)
             assert type(got) is int
             assert got == int(reference_hard_ternary(v, alpha))
+
+
+@pytest.mark.parametrize("d", [16, 70])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_packing_at_the_shared_threshold_is_the_packed_float64_comparison(alpha, d):
+    # encode packs hash values at +-_threshold, never making trits: its planes must be those of the reference trits
+    x = values_around(alpha)
+    for dtype in (np.float32, np.float64):
+        xs = np.resize(x, (x.size // d + 2, d)).astype(dtype)  # the grid repeated row by row over [rows, d]
+        bound = _threshold(xs.dtype, alpha)
+        got = _pack_planes(xs, -bound, bound)
+        assert got.tobytes() == pack_matrix(reference_hard_ternary(xs, alpha)).planes.tobytes()
 
 
 def test_hard_ternary_integer_and_scalar_input():

@@ -478,6 +478,17 @@ def test_every_gen_flag_value_runs_or_is_one_line_error(tmp_path, capsys, flag):
     assert broken == [None] * len(broken)
 
 
+@pytest.mark.parametrize(("flag", "value"), [
+    *((key, value) for key in ("classes", "per_class", "input_dim") for value in ("0", "-1", str(2**64))),
+    ("seed", "-1"),
+])
+def test_gen_names_the_flag_out_of_range(tmp_path, capsys, flag, value):
+    given = {"classes": "3", "per_class": "20", "input_dim": "8", flag: value}
+    argv = [arg for key, v in given.items() for arg in (f"--{key.replace('_', '-')}", v)]
+    code, _, err = run(capsys, "gen", *argv, "--out", str(tmp_path / "data"))
+    assert code == 1 and err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+
+
 def tiny_files(tmp_path):
     """A valid .tnh (2 -> 3 -> 4 -> 2 net), .tfv (3 x 2), .tnc (3 codes, d = 6) and .labels (3 rows)."""
     from ternhash import ContinuationSchedule, Network, NetworkConfig, pack_matrix, save_checkpoint, save_codes
