@@ -7,9 +7,9 @@ from ternhash import (
     ActivationConfig,
     ContinuationSchedule,
     hard_ternary,
+    pack_matrix,
     schedule_k,
     smooth_ternary,
-    pack_matrix,
     smooth_ternary_grad,
 )
 from ternhash.activation import _threshold

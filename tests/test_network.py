@@ -683,18 +683,18 @@ def test_encode_dataset_streams_its_blocks():
     assert peak - codes.planes.nbytes < 1.5e6
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.7, 1 / 3])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_encode_dataset_is_the_packed_hash_layer_at_every_block_split(dtype, alpha):
+def test_encode_dataset_is_the_packed_hash_layer_at_every_block_split(dtype):
     # 0.7 and 1/3 are not exact in float32; the reference thresholds the hash layer in float64
-    cfg = dataclasses.replace(WIDE, activation=ActivationConfig(alpha=alpha))
-    net = with_dtype(Network.initialize(cfg), dtype)
     feats = np.random.default_rng(4).normal(size=(5 * R + 3, 64)).astype(dtype)
-    for n in (1, R - 1, R, R + 1, 2 * R + 1, 5 * R + 3):
-        got = encode_dataset(net, feats[:n])
-        want = pack_matrix(hard_ternary(hash_features(net, feats[:n]).astype(np.float64), alpha))
-        assert got.planes.tobytes() == want.planes.tobytes(), n
-    assert got.pos.any() and got.neg.any()
+    for alpha in (0.5, 0.7, 1 / 3):
+        cfg = dataclasses.replace(WIDE, activation=ActivationConfig(alpha=alpha))
+        net = with_dtype(Network.initialize(cfg), dtype)
+        for n in (1, R - 1, R, R + 1, 2 * R + 1, 5 * R + 3):
+            got = encode_dataset(net, feats[:n])
+            want = pack_matrix(hard_ternary(hash_features(net, feats[:n]).astype(np.float64), alpha))
+            assert got.planes.tobytes() == want.planes.tobytes(), (alpha, n)
+        assert got.pos.any() and got.neg.any()
 
 
 def test_inference_forward_checks_every_block_for_finiteness():
