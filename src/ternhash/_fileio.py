@@ -1,10 +1,11 @@
-"""Checked reads and copy-free payload writes for the binary file formats (.tnc, .tnh, .tfv), and UTF-8 text reads."""
+"""Checked reads and copy-free writes of the binary files (magic, struct header, payload), and UTF-8 text reads."""
 
 from __future__ import annotations
 
 import math
 import os
 import stat
+import struct
 
 import numpy as np
 
@@ -23,6 +24,14 @@ def read_exact(fh, n: int, what: str) -> bytes:
     if len(raw) != n:
         raise ValueError(f"truncated {what}: needs {n} bytes, got {len(raw)}")
     return raw
+
+
+def read_header(fh, magic: bytes, fmt: str, what: str) -> tuple:
+    """The values of the struct header fmt after magic; raises ValueError on another magic or a short header."""
+    got = fh.read(len(magic))
+    if got != magic:
+        raise ValueError(f"bad magic {got!r}, expected {magic!r}")
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
 
 
 def read_payload(fh, shape: tuple, dtype: str, what: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import read_exact, read_payload, write_payload
+from ._fileio import read_header, read_payload, write_payload
 from .activation import hard_ternary
 
 _TRIT_BITS = {1: "10", 0: "00", -1: "01"}
@@ -219,10 +219,7 @@ def save_codes(path, codes) -> None:
 def load_codes(path) -> CodeMatrix:
     """Inverse of save_codes."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CODES_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_CODES_MAGIC!r}")
-        n, d = struct.unpack("<II", read_exact(fh, 8, "code file header"))
+        n, d = read_header(fh, _CODES_MAGIC, "<II", "code file header")
         if n < 1 or d < 1:
             raise ValueError(f"invalid header: n={n}, d={d}")
         return CodeMatrix(planes=read_payload(fh, (n, 2, _words(d)), "<u8", "code payload"), d=d)

@@ -18,6 +18,7 @@ GENERATOR_KEYS = ("classes", "per_class", "input_dim", "spread", "query_fraction
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Construction checks only seeds and the data_prefix rule; seed_setup checks the rest (eval_k by _resolve_k)."""
     # dataset: file mode (data_prefix) or synthetic generator
     data_prefix: str | None = None
     classes: int = 10
@@ -51,8 +52,6 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be non-negative integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds!r}")
-        if self.eval_k != "all" and (not isinstance(self.eval_k, int) or self.eval_k < 1):
-            raise ValueError(f'eval_k must be "all" or a positive integer, got {self.eval_k!r}')
         if self.data_prefix is not None:
             synth = [key for key in GENERATOR_KEYS if getattr(self, key) != _DEFAULTS[key]]
             if synth:

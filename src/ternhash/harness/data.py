@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._fileio import read_exact, read_payload, read_text, write_payload
+from .._fileio import read_header, read_payload, read_text, write_payload
 from ..retrieval import LabelSets
 
 _FEATURES_MAGIC = b"TFV1"
@@ -37,7 +37,7 @@ class Dataset:
         labels = LabelSets.of(self.labels)
         if len(labels) != n:
             raise ValueError(f"{n} feature rows vs {len(labels)} label sets")
-        if not np.diff(labels.indptr).all() or labels.ids.min() < 0:
+        if labels.ids.min() < 0:
             raise ValueError("every item needs a non-empty set of non-negative integer labels")
         ids = {}
         for name in ("train_ids", "retrieval_ids", "query_ids"):
@@ -161,10 +161,7 @@ def save_features(path, features) -> None:
 def load_features(path) -> np.ndarray:
     """Inverse of save_features."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FEATURES_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_FEATURES_MAGIC!r}")
-        n, dim = struct.unpack("<II", read_exact(fh, 8, "feature file header"))
+        n, dim = read_header(fh, _FEATURES_MAGIC, "<II", "feature file header")
         if n < 1 or dim < 1:
             raise ValueError(f"invalid header: n={n}, dim={dim}")
         return read_payload(fh, (n, dim), "<f4", "feature payload")
@@ -173,8 +170,8 @@ def load_features(path) -> np.ndarray:
 def save_labels(path, labels) -> None:
     """One line per item: comma-separated integer labels, sorted ascending."""
     labels = LabelSets.of(labels)
-    if not np.diff(labels.indptr).all():
-        raise ValueError("every item needs at least one label")
+    if not len(labels):
+        raise ValueError("cannot save an empty label list")
     ids, bounds = list(map(str, labels.ids.tolist())), labels.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(",".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])) + "\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fileio import read_exact, read_payload, write_payload
+from ._fileio import read_exact, read_header, read_payload, write_payload
 from .activation import (  # smooth_ternary_grad is unused here but stays importable: the benchmark traces it
     ActivationConfig,
     ContinuationSchedule,
@@ -34,6 +34,7 @@ from .activation import (  # smooth_ternary_grad is unused here but stays import
 from .codes import CodeMatrix, _pack_planes, _words
 
 _CHECKPOINT_MAGIC = b"TNH1"
+_CHECKPOINT_TAIL = "IIQdIIIII"  # the checkpoint header after the hidden dims: code_dim ... total_epochs
 # Rows per block of the inference forward: a 256-wide float32 block is 256 KB
 # to 512 KB, so the blocks stay in L2 and encode and quantization error hold
 # O(block) temporaries; 128 rows runs 7% slower. Blocks are near-equal, R to
@@ -441,22 +442,21 @@ def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
     """
     cfg = net.config
     check_checkpoint_fields(cfg, schedule)
-    header = struct.pack(f"<II{len(cfg.hidden_dims)}IIIQdIIIII", cfg.input_dim, len(cfg.hidden_dims), *cfg.hidden_dims,
-                         cfg.code_dim, cfg.num_classes, cfg.seed, cfg.activation.alpha, cfg.activation.k,
-                         schedule.k_start, schedule.k_end, schedule.stride_epochs, schedule.total_epochs)
+    header = struct.pack(f"<II{len(cfg.hidden_dims)}I{_CHECKPOINT_TAIL}", cfg.input_dim, len(cfg.hidden_dims),
+                         *cfg.hidden_dims, cfg.code_dim, cfg.num_classes, cfg.seed, cfg.activation.alpha,
+                         cfg.activation.k, schedule.k_start, schedule.k_end, schedule.stride_epochs,
+                         schedule.total_epochs)
     write_payload(path, _CHECKPOINT_MAGIC + header, net.flat, "<f4")
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (Network, ContinuationSchedule) with float32 parameters."""
+    """Inverse of save_checkpoint; returns (Network, ContinuationSchedule) with float32 parameters.
+    The hidden-layer count sizes the rest of the header, which is read as one block."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_CHECKPOINT_MAGIC!r}")
-        input_dim, n_hidden = struct.unpack("<II", read_exact(fh, 8, "checkpoint header"))
-        hidden_dims = struct.unpack(f"<{n_hidden}I", read_exact(fh, 4 * n_hidden, "checkpoint header"))
-        code_dim, num_classes, seed = struct.unpack("<IIQ", read_exact(fh, 16, "checkpoint header"))
-        alpha, k, k_start, k_end, stride, total = struct.unpack("<dIIIII", read_exact(fh, 28, "checkpoint header"))
+        input_dim, n_hidden = read_header(fh, _CHECKPOINT_MAGIC, "<II", "checkpoint header")
+        fmt = f"<{n_hidden}I{_CHECKPOINT_TAIL}"
+        *hidden_dims, code_dim, num_classes, seed, alpha, k, k_start, k_end, stride, total = struct.unpack(
+            fmt, read_exact(fh, struct.calcsize(fmt), "checkpoint header"))
         cfg = NetworkConfig(
             input_dim=input_dim,
             hidden_dims=hidden_dims,

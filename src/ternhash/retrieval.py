@@ -27,7 +27,7 @@ def _int64_vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LabelSets(Sequence):
-    """n integer label sets in CSR form: row i is ids[indptr[i]:indptr[i + 1]].
+    """n non-empty integer label sets in CSR form (n may be 0): row i is ids[indptr[i]:indptr[i + 1]].
 
     Construction sorts each row and drops its repeats, so rows are ascending
     and distinct. A read-only sequence of frozenset: an int index gives one
@@ -43,6 +43,8 @@ class LabelSets(Sequence):
         counts = np.diff(indptr)
         if not indptr.size or indptr[0] != 0 or indptr[-1] != ids.size or np.any(counts < 0):
             raise ValueError(f"indptr must rise from 0 to {ids.size}")
+        if not counts.all():
+            raise ValueError("every item needs at least one label")
         rows = np.repeat(np.arange(counts.size), counts)
         same_row = rows[1:] == rows[:-1]
         if np.any(same_row & (ids[1:] <= ids[:-1])):
@@ -122,11 +124,8 @@ class RetrievalIndex:
         if len(self.codes) != len(self.labels):
             raise ValueError(f"{len(self.codes)} codes vs {len(self.labels)} label sets")
         labels = LabelSets.of(self.labels)
-        counts = np.diff(labels.indptr)
-        if not counts.all():
-            raise ValueError("every item needs at least one label")
         by_label = np.argsort(labels.ids, kind="stable")
-        items = np.repeat(np.arange(len(labels)), counts)[by_label]
+        items = np.repeat(np.arange(len(labels)), np.diff(labels.indptr))[by_label]
         object.__setattr__(self, "codes", CodeMatrix.of(self.codes))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_postings", (labels.ids[by_label], items))
@@ -243,8 +242,6 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
     _check_length(index, queries.d)
     cut = _resolve_k(k, len(index))
     labels = LabelSets.of(query_labels)
-    if not np.diff(labels.indptr).all():
-        raise ValueError("every query needs at least one label")
     ids, bounds = labels.ids.tolist(), labels.indptr.tolist()
     scan = _scan_rows(queries)
     codes = scan.tolist() if scan.ndim == 1 else list(map(tuple, scan.tolist()))

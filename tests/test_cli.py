@@ -131,6 +131,21 @@ def test_compare_rejects_eval_k_past_the_retrieval_split_before_training(tmp_pat
     assert trained == []
 
 
+@pytest.mark.parametrize("command", ["compare", "train"])
+def test_eval_k_zero_is_one_line_error_before_training(tmp_path, capsys, monkeypatch, command):
+    from ternhash.harness import cli
+
+    trained = []
+    for module in (experiment, cli):
+        monkeypatch.setattr(module, "train", lambda *args, **kwargs: trained.append(args))
+    cfg_path = write_tiny_config(tmp_path / "run.cfg", eval_k=0)
+    argv = ["--config", str(cfg_path)] + (["--out", str(tmp_path / "m.tnh")] if command == "train" else [])
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    assert err == 'error: k must be "all" or an integer in [1, 81], got 0\n'  # 3 classes x 27 retrieval rows
+    assert trained == [] and not (tmp_path / "m.tnh").exists()
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     run(capsys, *gen_args(a))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ternhash import LabelSets
+from ternhash import LabelSets, RetrievalIndex, mean_ap, pack_matrix
 from ternhash.harness import (
     Dataset,
     gen_synthetic,
@@ -55,12 +55,12 @@ def test_dataset_validation():
     Dataset(features=feats, **{**ok, "labels": LabelSets.of([{0}] * 4)})
     label_rule = "every item needs a non-empty set of non-negative integer labels"
     for over, message in (
+        # an empty label set is LabelSets' error
+        ({"labels": [{0}, set(), {0}, {0}]}, "every item needs at least one label"),
         ({"features": np.zeros((0, 2))}, "features must be a non-empty [n x dim] matrix, got shape (0, 2)"),
         ({"features": np.zeros(4)}, "features must be a non-empty [n x dim] matrix, got shape (4,)"),
         ({"labels": [{0}] * 3}, "4 feature rows vs 3 label sets"),
-        ({"labels": [{0}, set(), {0}, {0}]}, label_rule),
         ({"labels": [{0}, {-1}, {0}, {0}]}, label_rule),
-        ({"labels": LabelSets(indptr=[0, 1, 1, 2, 3], ids=[0, 0, 0])}, label_rule),
         # a non-integer label is LabelSets.of's error
         ({"labels": [{0}, {1.5}, {0}, {0}]}, "labels must be integers"),
         ({"labels": [{0}, {"a"}, {0}, {0}]}, "labels must be integers"),
@@ -116,11 +116,33 @@ def test_single_labels():
     assert single_labels(LabelSets.of([{3}, {0}, {7}])).tolist() == [3, 0, 7]
     for labels, message in (
         ([{3}, {0, 1}], "item 1 has 2 labels; training requires exactly one"),
-        ([{3}, {0}, set()], "item 2 has 0 labels; training requires exactly one"),
+        ([{3}, {0}, set()], "every item needs at least one label"),
     ):
         with pytest.raises(ValueError) as exc:
             single_labels(labels)
         assert str(exc.value) == message
+
+
+EMPTY_ROW = [{0}, set(), {1}]
+CODES = pack_matrix(np.zeros((3, 4), dtype=np.int8))
+EMPTY_ROW_CALLS = {
+    "LabelSets": lambda path: LabelSets(indptr=[0, 1, 1, 2], ids=[0, 1]),
+    "LabelSets.of": lambda path: LabelSets.of(EMPTY_ROW),
+    "Dataset": lambda path: Dataset(features=np.zeros((3, 2)), labels=EMPTY_ROW,
+                                    train_ids=[0], retrieval_ids=[0, 1], query_ids=[2]),
+    "RetrievalIndex": lambda path: RetrievalIndex(codes=CODES, labels=EMPTY_ROW),
+    "mean_ap": lambda path: mean_ap(RetrievalIndex(codes=CODES, labels=[{0}] * 3), CODES, EMPTY_ROW, "all"),
+    "save_labels": lambda path: save_labels(path, EMPTY_ROW),
+    "single_labels": lambda path: single_labels(EMPTY_ROW),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_ROW_CALLS)
+def test_an_empty_label_set_is_refused_by_label_sets_wherever_it_enters(tmp_path, call):
+    with pytest.raises(ValueError) as exc:
+        EMPTY_ROW_CALLS[call](tmp_path / "x.labels")
+    assert str(exc.value) == "every item needs at least one label"
+    assert not (tmp_path / "x.labels").exists()
 
 
 def test_single_labels_does_not_share_the_dataset_labels():
@@ -334,8 +356,9 @@ def test_save_labels_writes_the_same_bytes_from_label_sets_and_lists(tmp_path):
     want = b"0,2\n1\n3,4,5\n7\n0,9,12345678901234\n"
     for name in ("list", "csr", "frozen"):
         assert (tmp_path / f"{name}.labels").read_bytes() == want
-    save_labels(tmp_path / "empty.labels", [])
-    assert (tmp_path / "empty.labels").read_bytes() == b"\n"
+    with pytest.raises(ValueError, match="^cannot save an empty label list$"):
+        save_labels(tmp_path / "empty.labels", [])
+    assert not (tmp_path / "empty.labels").exists()
     with pytest.raises(ValueError, match="^every item needs at least one label$"):
         save_labels(tmp_path / "bad.labels", [{1}, set()])
 

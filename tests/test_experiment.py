@@ -151,6 +151,21 @@ def test_run_seed_shapes():
     assert all(e.k is None for e in r.two_step_logs)
 
 
+@pytest.mark.parametrize("eval_k", [0, "some", True])
+def test_seed_setup_rejects_a_bad_eval_k_before_any_epoch(monkeypatch, eval_k):
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: trained.append(args))
+    cfg = tiny_config(eval_k=eval_k)
+    n = len(gen_synthetic(3, 30, 8, 0.2, 1).retrieval_ids)
+    for call in (seed_setup, run_seed):
+        with pytest.raises(ValueError) as exc:
+            call(cfg, 1)
+        assert str(exc.value) == f'k must be "all" or an integer in [1, {n}], got {eval_k!r}'
+    with pytest.raises(ValueError):
+        run_experiment(cfg)
+    assert trained == []
+
+
 def test_run_seed_converts_no_label_list(monkeypatch):
     convert = LabelSets.of.__func__
     converted = []

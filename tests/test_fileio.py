@@ -103,6 +103,31 @@ def test_a_pipe_cut_short_raises_the_truncated_message(tmp_path, kind):
     assert str(exc.value) == f"truncated {header}: needs 8 bytes, got 2"
 
 
+# kind: the byte counts of the header's reads after the magic (a .tnh of one hidden layer: 4 * 1 + 44)
+HEADER_READS = {"tfv": (8,), "tnc": (8,), "tnh": (8, 48)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_binary_reader_checks_magic_and_header_alike(tmp_path, kind):
+    write, read, header, _ = KINDS[kind]
+    path = tmp_path / f"x.{kind}"
+    write(path)
+    data = path.read_bytes()
+    bad = tmp_path / "bad"
+    cases = [(b"XXXX" + data[4:], f"bad magic b'XXXX', expected b'{kind.upper()}1'"),
+             (data[:2], f"bad magic {data[:2]!r}, expected b'{kind.upper()}1'")]
+    start = 4
+    for size in HEADER_READS[kind]:
+        cases += [(data[:cut], f"truncated {header}: needs {size} bytes, {cut - start} left")
+                  for cut in range(start, start + size)]
+        start += size
+    for blob, message in cases:
+        bad.write_bytes(blob)
+        with pytest.raises(ValueError) as exc:
+            read(bad)
+        assert str(exc.value) == message
+
+
 def test_encode_reads_features_from_a_pipe(tmp_path, capsys):
     ckpt, feats = tmp_path / "m.tnh", tmp_path / "x.tfv"
     write_checkpoint(ckpt)

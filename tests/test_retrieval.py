@@ -377,7 +377,11 @@ def test_label_sets_is_a_sequence_of_frozensets():
     assert LabelSets.of(labels) is labels
     # rows are sets: order and repeats do not matter
     assert LabelSets.of([[3, 1, 3], (0,), [4, 2, 5, 2], [7]]) == labels
-    assert LabelSets.of([]) == [] and len(LabelSets.of([{1}, set()])) == 2
+    # zero rows stay valid; an empty row does not
+    for empty in (LabelSets.of([]), labels[:0], labels[[]], LabelSets(indptr=[0], ids=[])):
+        assert isinstance(empty, LabelSets) and empty == [] and empty.indptr.tolist() == [0]
+    with pytest.raises(ValueError, match="^every item needs at least one label$"):
+        LabelSets.of([{1}, set()])
 
 
 def test_label_sets_validation():
@@ -395,9 +399,12 @@ def test_label_sets_validation():
     with pytest.raises(ValueError, match="integer"):
         LabelSets(indptr=[0, 1], ids=[1.5])
     # construction sorts each row and drops its repeats
-    labels = LabelSets(indptr=[0, 3, 4, 4, 7], ids=[5, 1, 5, 2, 9, 9, 9])
-    assert labels.indptr.tolist() == [0, 2, 3, 3, 4]
-    assert labels.ids.tolist() == [1, 5, 2, 9]
+    labels = LabelSets(indptr=[0, 3, 4, 5, 8], ids=[5, 1, 5, 2, 4, 9, 9, 9])
+    assert labels.indptr.tolist() == [0, 2, 3, 4, 5]
+    assert labels.ids.tolist() == [1, 5, 2, 4, 9]
+    # every row holds at least one label
+    with pytest.raises(ValueError, match="^every item needs at least one label$"):
+        LabelSets(indptr=[0, 1, 1, 2, 3], ids=[0, 0, 0])
     assert LabelSets(indptr=[0, 1, 2], ids=[3, 1]).ids.tolist() == [3, 1]
 
 
