@@ -38,7 +38,7 @@ class Dataset:
         if len(labels) != n:
             raise ValueError(f"{n} feature rows vs {len(labels)} label sets")
         if labels.ids.min() < 0:
-            raise ValueError("every item needs a non-empty set of non-negative integer labels")
+            raise ValueError("labels must be non-negative")
         ids = {}
         for name in ("train_ids", "retrieval_ids", "query_ids"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)

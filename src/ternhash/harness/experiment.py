@@ -29,17 +29,15 @@ class TwoStepResult:
     query_codes: CodeMatrix
 
 
-def _train_and_encode(dataset: Dataset, net_cfg, train_cfg, ternary: bool, epoch_hook=None) -> tuple:
-    """(network, logs, retrieval codes, query codes) of one arm trained on the training split."""
-    feats, label_sets = dataset.subset(dataset.train_ids)
-    net, logs = train(net_cfg, train_cfg, feats, single_labels(label_sets), ternary=ternary, epoch_hook=epoch_hook)
-    codes = [encode_dataset(net, dataset.features[ids]) for ids in (dataset.retrieval_ids, dataset.query_ids)]
-    return net, logs, *codes
-
-
 def two_step_baseline(dataset: Dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig) -> TwoStepResult:
-    """Learn features with an identity hash head, then threshold them into codes."""
-    return TwoStepResult(*_train_and_encode(dataset, net_cfg, train_cfg, ternary=False))
+    """Learn features with an identity hash head, then threshold them into codes.
+
+    The pipeline's two-step arm is run_arm(..., ternary=False); this composition stays for the benchmark.
+    """
+    feats, label_sets = dataset.subset(dataset.train_ids)
+    net, logs = train(net_cfg, train_cfg, feats, single_labels(label_sets), ternary=False)
+    codes = [encode_dataset(net, dataset.features[ids]) for ids in (dataset.retrieval_ids, dataset.query_ids)]
+    return TwoStepResult(net, logs, *codes)
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,6 @@ class ExperimentResult:
     seed_results: list
     median_continuation_map: float
     median_two_step_map: float
-
-
-def _stage_end_epochs(schedule: ContinuationSchedule, epochs: int) -> list:
-    """Last epoch of each constant-k stretch within the run."""
-    ends = []
-    for epoch in range(epochs):
-        if epoch == epochs - 1 or schedule_k(epoch + 1, schedule) != schedule_k(epoch, schedule):
-            ends.append(epoch)
-    return ends
 
 
 def seed_setup(cfg: ExperimentConfig, seed: int) -> tuple:
@@ -108,20 +97,23 @@ def run_arm(dataset: Dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, ev
     """(mAP, logs, stage ends) of one arm: train, encode both splits, index, score.
 
     A stage end is (epoch, k, quantization error over the retrieval split),
-    taken at the last epoch of each constant-k stretch; the two-step arm has
-    one, its last epoch, with k None.
+    taken at the last epoch and at each epoch after which the scheduled k
+    changes; the two-step arm, whose k is None, has only its last epoch.
+    Each split is gathered once, no earlier than its first use.
     """
+    feats, label_sets = dataset.subset(dataset.train_ids)
     retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
-    ends = _stage_end_epochs(train_cfg.schedule, train_cfg.epochs) if ternary else [train_cfg.epochs - 1]
+    last, schedule = train_cfg.epochs - 1, train_cfg.schedule
     stages = []
 
     def snapshot(net, entry):
-        if entry.epoch in ends:
+        if entry.epoch == last or (ternary and schedule_k(entry.epoch + 1, schedule) != entry.k):
             stages.append((entry.epoch, entry.k, quantization_error(net, retrieval_feats, entry.k)))
 
-    _, logs, retrieval_codes, query_codes = _train_and_encode(dataset, net_cfg, train_cfg, ternary, snapshot)
-    index = RetrievalIndex(codes=retrieval_codes, labels=retrieval_labels)
-    return mean_ap(index, query_codes, dataset.labels[dataset.query_ids], eval_k).map, logs, stages
+    net, logs = train(net_cfg, train_cfg, feats, single_labels(label_sets), ternary=ternary, epoch_hook=snapshot)
+    index = RetrievalIndex(codes=encode_dataset(net, retrieval_feats), labels=retrieval_labels)
+    query_feats, query_labels = dataset.subset(dataset.query_ids)
+    return mean_ap(index, encode_dataset(net, query_feats), query_labels, eval_k).map, logs, stages
 
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:

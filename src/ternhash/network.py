@@ -274,10 +274,9 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Momentum buffers plus the reshuffle stream, for stepwise drivers."""
+    """The momentum buffers sgd_momentum_step updates, one per parameter, listed like params()."""
 
     velocity: list
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
 
 @dataclass(frozen=True)
@@ -395,7 +394,8 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     labs = _check_labels(labels, feats.shape[0], net_cfg.num_classes)
 
     net = Network(config=net_cfg, flat=Network.initialize(net_cfg).flat.astype(np.float32))
-    state = TrainState(velocity=[np.zeros_like(net.flat)], rng=np.random.default_rng(net_cfg.seed))
+    state = TrainState(velocity=[np.zeros_like(net.flat)])
+    rng = np.random.default_rng(net_cfg.seed)
     grad = np.empty_like(net.flat)
     grad_out = (grad, *_layer_views(net_cfg.layer_dims, grad))
     n = feats.shape[0]
@@ -404,7 +404,7 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
         for epoch in range(train_cfg.epochs):
             k = schedule_k(epoch, train_cfg.schedule) if ternary else None
             lr = cosine_lr(epoch, train_cfg)
-            perm = state.rng.permutation(n)
+            perm = rng.permutation(n)
             loss_sum = 0.0
             for start in range(0, n, train_cfg.batch_size):
                 idx = perm[start : start + train_cfg.batch_size]

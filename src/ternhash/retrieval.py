@@ -257,6 +257,8 @@ def mean_ap(index: RetrievalIndex, query_codes, query_labels, k, *, normalizatio
             ap = average_precision(relevant[order], cut, total_relevant=total)
             for q in members:
                 aps[q] = ap
+    # Added in order, as acceptance criterion 5's oracle adds them and compares with ==: from Python 3.12,
+    # sum() adds floats with compensated summation, so sum(aps) could differ from it in the last bit.
     acc = 0.0
     for ap in aps:
         acc += ap

@@ -36,6 +36,7 @@ def test_ternary_code_validation():
         TernaryCode(np.zeros((2, 2), dtype=np.int8))
     # values, not dtypes, decide: 1.0 is a trit, 0.5 and NaN are not
     assert TernaryCode(np.array([1.0, 0.0, -1.0])) == code(1, 0, -1)
+    assert len(code(1, 0, -1, 0)) == 4
     for bad in (0.5, np.nan, -2.0):
         with pytest.raises(ValueError):
             TernaryCode(np.array([1.0, bad]))
@@ -58,6 +59,15 @@ def test_packed_code_invariants():
     assert PackedCode(planes=planes([1], [0]), d=4).pos.tolist() == [1]
 
 
+def test_codes_are_not_equal_to_other_types():
+    ternary = code(1, 0, -1)
+    packed = pack(ternary)
+    for other in (None, 1, "1 0 -1", [1, 0, -1]):
+        assert (ternary == other) is False and (ternary != other) is True
+        assert (packed == other) is False and (packed != other) is True
+    assert ternary != packed and packed != ternary
+
+
 def test_ternarize():
     assert ternarize(np.array([0.7, -0.2, -0.9]), 0.5) == code(1, 0, -1)
     assert ternarize(np.zeros(5), 0.5) == code(0, 0, 0, 0, 0)
@@ -67,6 +77,9 @@ def test_ternarize():
         got = ternarize(v, 0.5).trits
         want = [hard_ternary(float(x), 0.5) for x in v]
         assert got.tolist() == want
+    for bad in (np.zeros((2, 3)), np.zeros(0), []):
+        with pytest.raises(ValueError, match="^features must be a non-empty 1-d array$"):
+            ternarize(bad, 0.5)
 
 
 def test_pack_bit_layout():

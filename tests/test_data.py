@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 from ternhash import LabelSets, RetrievalIndex, mean_ap, pack_matrix
 from ternhash.harness import (
     Dataset,
+    ExperimentConfig,
     gen_synthetic,
     load_features,
     load_labels,
     load_splits,
     save_features,
     save_labels,
+    save_config,
     save_splits,
     single_labels,
 )
+from ternhash.harness.cli import main
 from ternhash.harness.data import _parse_canonical
 
 
@@ -53,7 +56,7 @@ def test_dataset_validation():
     ok = dict(labels=[{0}] * 4, train_ids=[0], retrieval_ids=[0, 1], query_ids=[2, 3])
     Dataset(features=feats, **ok)
     Dataset(features=feats, **{**ok, "labels": LabelSets.of([{0}] * 4)})
-    label_rule = "every item needs a non-empty set of non-negative integer labels"
+    label_rule = "labels must be non-negative"
     for over, message in (
         # an empty label set is LabelSets' error
         ({"labels": [{0}, set(), {0}, {0}]}, "every item needs at least one label"),
@@ -578,6 +581,25 @@ def test_splits_dim_mismatch(tmp_path):
     save_labels(f"{prefix}.query.labels", [{0}, {1}])
     with pytest.raises(ValueError, match="dims"):
         load_splits(prefix)
+
+
+@pytest.mark.parametrize("name", ["train", "retrieval", "query"])
+def test_splits_row_count_mismatch(tmp_path, capsys, name):
+    ds = gen_synthetic(3, 20, 6, 0.25, 4)
+    prefix = str(tmp_path / "demo")
+    save_splits(prefix, ds)
+    labels = load_labels(f"{prefix}.{name}.labels")
+    save_labels(f"{prefix}.{name}.labels", labels[:-1])
+    message = f"{prefix}.{name}: {len(labels)} feature rows vs {len(labels) - 1} label lines"
+    with pytest.raises(ValueError) as exc:
+        load_splits(prefix)
+    assert str(exc.value) == message
+    cfg_path = tmp_path / "run.cfg"
+    save_config(cfg_path, ExperimentConfig(data_prefix=prefix, hidden_dims=(16,), code_dim=6, epochs=2, seeds=(1,)))
+    assert main(["compare", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_dataset_equality_compares_the_arrays():

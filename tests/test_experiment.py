@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import difflib
 from pathlib import Path
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from ternhash import (
-    ContinuationSchedule,
     LabelSets,
     Network,
     NetworkConfig,
@@ -33,7 +33,6 @@ from ternhash.harness import (
     single_labels,
     two_step_baseline,
 )
-from ternhash.harness.experiment import _stage_end_epochs
 
 
 def tiny_config(**over):
@@ -70,23 +69,23 @@ def file_config(tmp_path, **over):
 def reference_run_seed(cfg, seed):
     """run_seed composed as before run_arm: the continuation arm inline, the
     two-step arm through two_step_baseline with its own index and mean_ap, and
-    its quantization error taken after training."""
+    its quantization error taken after training. A stage ends at the last
+    epoch and wherever the next epoch's logged k differs."""
     dataset, net_cfg, train_cfg = seed_setup(cfg, seed)
     train_feats, train_label_sets = dataset.subset(dataset.train_ids)
     retrieval_feats, retrieval_labels = dataset.subset(dataset.retrieval_ids)
     query_feats, query_labels = dataset.subset(dataset.query_ids)
     retrieval_labels, query_labels = LabelSets.of(retrieval_labels), LabelSets.of(query_labels)
 
-    stage_ends = _stage_end_epochs(train_cfg.schedule, cfg.epochs)
-    stage_errors = {}
+    errors = {}
 
     def snapshot(net, entry):
-        if entry.epoch in stage_ends:
-            stage_errors[entry.epoch] = (entry.k, quantization_error(net, retrieval_feats, entry.k))
+        errors[entry.epoch] = quantization_error(net, retrieval_feats, entry.k)
 
     cont_net, cont_logs = train(
         net_cfg, train_cfg, train_feats, single_labels(train_label_sets), ternary=True, epoch_hook=snapshot
     )
+    stage_ends = [e for e, after in zip(cont_logs, cont_logs[1:] + [None]) if after is None or after.k != e.k]
     cont_index = RetrievalIndex(codes=encode_dataset(cont_net, retrieval_feats), labels=retrieval_labels)
     cont_report = mean_ap(cont_index, encode_dataset(cont_net, query_feats), query_labels, cfg.eval_k)
 
@@ -96,9 +95,9 @@ def reference_run_seed(cfg, seed):
 
     return SeedResult(
         seed=seed,
-        stage_epochs=tuple(stage_ends),
-        stage_ks=tuple(stage_errors[e][0] for e in stage_ends),
-        stage_quant_errors=tuple(stage_errors[e][1] for e in stage_ends),
+        stage_epochs=tuple(e.epoch for e in stage_ends),
+        stage_ks=tuple(e.k for e in stage_ends),
+        stage_quant_errors=tuple(errors[e.epoch] for e in stage_ends),
         continuation_map=cont_report.map,
         two_step_map=base_report.map,
         two_step_quant_error=quantization_error(base.network, retrieval_feats, None),
@@ -107,13 +106,22 @@ def reference_run_seed(cfg, seed):
     )
 
 
-def test_stage_end_epochs_default_schedule():
-    sched = ContinuationSchedule(k_start=3, k_end=11, stride_epochs=30, total_epochs=150)
-    assert _stage_end_epochs(sched, 150) == [29, 59, 89, 119, 149]
-    # a truncated run still ends its last, possibly short, stage
-    assert _stage_end_epochs(sched, 100) == [29, 59, 89, 99]
-    short = ContinuationSchedule(k_start=3, k_end=5, stride_epochs=2, total_epochs=4)
-    assert _stage_end_epochs(short, 4) == [1, 3]
+@pytest.mark.parametrize(
+    "epochs, ternary, ends",
+    [
+        (150, True, ((29, 3), (59, 5), (89, 7), (119, 9), (149, 11))),
+        # a truncated run still ends its last, possibly short, stage
+        (100, True, ((29, 3), (59, 5), (89, 7), (99, 9))),
+        (150, False, ((149, None),)),
+    ],
+    ids=["schedule", "truncated", "two-step"],
+)
+def test_run_arm_ends_a_stage_where_k_changes_and_at_the_last_epoch(epochs, ternary, ends):
+    dataset, net_cfg, train_cfg = seed_setup(tiny_config(k_end=11, stride_epochs=30, epochs=150), 1)
+    train_cfg = dataclasses.replace(train_cfg, epochs=epochs)
+    _, logs, stages = run_arm(dataset, net_cfg, train_cfg, "all", ternary=ternary)
+    assert len(logs) == epochs
+    assert tuple((epoch, k) for epoch, k, _ in stages) == ends
 
 
 def test_encode_dataset_matches_manual_path():

@@ -292,7 +292,14 @@ def test_sgd_weight_decay_shrinks_parameters():
 
 def test_sgd_validation():
     net = Network.initialize(SMALL)
+    before = [p.copy() for p in net.params()]
     state = TrainState(velocity=[np.zeros_like(p) for p in net.params()])
+    zeros = [np.zeros_like(p) for p in net.params()]
+    for grads, velocity in ((zeros * 2, state.velocity), (zeros, []), ([], state.velocity)):
+        with pytest.raises(ValueError, match="^gradient/velocity lists do not match the parameter list$"):
+            sgd_momentum_step(net, TrainState(velocity=velocity), grads, 0.1, 0.0, 1e-4)
+        for p, b in zip(net.params(), before):
+            assert np.array_equal(p, b)
     with pytest.raises(ValueError):
         sgd_momentum_step(net, state, [np.zeros(1)], 0.1, 0.0, 0.0)
     bad = [np.zeros_like(p) for p in net.params()]
