@@ -46,10 +46,10 @@ class ContinuationSchedule:
                 raise ValueError(f"{name} must be an odd integer >= 3, got {v!r}")
         if self.k_start > self.k_end:
             raise ValueError(f"k_start ({self.k_start}) must not exceed k_end ({self.k_end})")
-        if self.stride_epochs < 1:
-            raise ValueError(f"stride_epochs must be positive, got {self.stride_epochs!r}")
-        if self.total_epochs < 1:
-            raise ValueError(f"total_epochs must be positive, got {self.total_epochs!r}")
+        for name in ("stride_epochs", "total_epochs"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
 def _as_finite(x) -> np.ndarray:

@@ -154,24 +154,23 @@ def ternarize(features, alpha: float) -> TernaryCode:
     return TernaryCode(hard_ternary(arr, alpha))
 
 
-def _pack_planes(values: np.ndarray, lo, hi) -> np.ndarray:
+def _pack_planes(values: np.ndarray, bound) -> np.ndarray:
     """[n, d] values -> [n, 2, words] planes, positive plane first.
 
-    Bit i of the positive plane is values[:, i] >= hi, of the negative plane
-    values[:, i] <= lo, compared straight into the zero-padded bit buffer.
-    Trits pack with lo = -1 and hi = 1; encode packs hash values at the
-    quantizer's -t and t.
+    Bit i of the positive plane is values[:, i] >= bound, of the negative plane
+    values[:, i] <= -bound, compared straight into the zero-padded bit buffer.
+    Trits pack at bound 1; encode packs hash values at the quantizer's bound.
     """
     n, d = values.shape
     bits = np.zeros((n, 2, 64 * _words(d)), dtype=bool)
-    np.greater_equal(values, hi, out=bits[:, 0, :d])
-    np.less_equal(values, lo, out=bits[:, 1, :d])
+    np.greater_equal(values, bound, out=bits[:, 0, :d])
+    np.less_equal(values, -bound, out=bits[:, 1, :d])
     return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False).reshape(n, 2, _words(d))
 
 
 def pack(code: TernaryCode) -> PackedCode:
     """Split trits into the two bitplanes."""
-    return PackedCode(planes=_pack_planes(code.trits[None, :], -1, 1)[0], d=code.trits.size)
+    return PackedCode(planes=_pack_planes(code.trits[None, :], 1)[0], d=code.trits.size)
 
 
 def pack_matrix(trits) -> CodeMatrix:
@@ -181,7 +180,7 @@ def pack_matrix(trits) -> CodeMatrix:
         raise ValueError(f"trits must be an [n x d] matrix with d >= 1, got shape {arr.shape}")
     if not _is_trits(arr):
         raise ValueError("trits must take values in {-1, 0, +1}")
-    return CodeMatrix(planes=_pack_planes(arr, -1, 1), d=arr.shape[1])
+    return CodeMatrix(planes=_pack_planes(arr, 1), d=arr.shape[1])
 
 
 def encode_binary(code: TernaryCode) -> str:

@@ -190,7 +190,7 @@ def load_labels(path) -> LabelSets:
     parsed = _parse_canonical(text)
     if parsed is not None:
         return LabelSets(*parsed)
-    ids, counts = [], []
+    rows = []
     for lineno, line in enumerate(text.removesuffix("\n").split("\n"), start=1):
         line = line.strip()  # int() strips whitespace too, but not \x1c-\x1f, which str.strip() removes
         if not line:
@@ -201,9 +201,8 @@ def load_labels(path) -> LabelSets:
             raise ValueError(f"{path}:{lineno}: labels must be comma-separated integers") from None
         if not -(2**63) <= min(row) <= max(row) < 2**63:
             raise ValueError(f"{path}:{lineno}: labels must fit in a signed 64-bit integer")
-        ids += row
-        counts.append(len(row))
-    return LabelSets(indptr=np.concatenate(([0], np.cumsum(counts))), ids=np.array(ids, dtype=np.int64))
+        rows.append(row)
+    return LabelSets.of(rows)
 
 
 _POW10 = 10 ** np.arange(18, dtype=np.int64)

@@ -208,15 +208,11 @@ def cross_entropy(logits, labels) -> float:
     return _softmax_loss(logits, labels)[0]
 
 
-def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k, out=None):
-    """(loss, [gradient]) of a checked batch; out, if given, is the (grad, *_layer_views(grad)) to fill."""
+def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k, grad_w: list, grad_b: list) -> float:
+    """The loss of a checked batch; its gradient fills grad_w and grad_b, the _layer_views of a gradient vector."""
     n_hidden = len(net.config.hidden_dims)
     inputs, hash_pre, log_mag, hash_act, logits = _forward_cached(net, batch, k)
     loss, dlogits = _softmax_loss(logits, labels)
-    if out is None:
-        grad = np.empty_like(net.flat)
-        out = (grad, *_layer_views(net.config.layer_dims, grad))
-    grad, grad_w, grad_b = out
     np.matmul(hash_act.T, dlogits, out=grad_w[n_hidden + 1])
     dlogits.sum(axis=0, out=grad_b[n_hidden + 1])
 
@@ -235,15 +231,16 @@ def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k, out=
         d_h.sum(axis=0, out=grad_b[i])
         if i:
             d_h = d_h @ net.weights[i].T
-    return loss, [grad]
+    return loss
 
 
 def backward(net: Network, batch, labels, k) -> list:
     """Exact gradient of cross_entropy(forward(...)) as one vector in flat's layout, listed like params()."""
     arr = _check_batch(batch, net.config.input_dim, net.dtype)
     labs = _check_labels(labels, arr.shape[0], net.config.num_classes)
-    _, grads = _loss_and_grads(net, arr, labs, k)
-    return grads
+    grad = np.empty_like(net.flat)
+    _loss_and_grads(net, arr, labs, k, *_layer_views(net.config.layer_dims, grad))
+    return [grad]
 
 
 @dataclass(frozen=True)
@@ -297,23 +294,22 @@ def cosine_lr(epoch: int, train_cfg: TrainConfig) -> float:
 def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, momentum: float, weight_decay: float):
     """In-place update: v <- momentum*v + (grad + wd*param); param <- param - lr*v.
 
-    Decay hits weights and biases alike. Every grad and velocity must match
-    its parameter's shape and dtype; on a mismatch nothing is updated.
+    Decay hits weights and biases alike. grads and the velocity are one-vector
+    lists like params(); each vector must match flat's shape and dtype, and on
+    a mismatch nothing is updated.
     """
-    params = net.params()
-    if len(grads) != len(params) or len(state.velocity) != len(params):
+    if len(grads) != 1 or len(state.velocity) != 1:
         raise ValueError("gradient/velocity lists do not match the parameter list")
-    for p, v, g in zip(params, state.velocity, grads):
-        if g.shape != p.shape or v.shape != p.shape:
-            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}")
-        if g.dtype != p.dtype or v.dtype != p.dtype:
-            raise ValueError(f"dtype mismatch: param {p.dtype}, grad {g.dtype}, velocity {v.dtype}")
-    for p, v, g in zip(params, state.velocity, grads):
-        step = p * weight_decay
-        step += g
-        v *= momentum
-        v += step
-        p -= np.multiply(v, lr, out=step)
+    p, v, g = net.flat, state.velocity[0], grads[0]
+    if g.shape != p.shape or v.shape != p.shape:
+        raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}")
+    if g.dtype != p.dtype or v.dtype != p.dtype:
+        raise ValueError(f"dtype mismatch: param {p.dtype}, grad {g.dtype}, velocity {v.dtype}")
+    step = p * weight_decay
+    step += g
+    v *= momentum
+    v += step
+    p -= np.multiply(v, lr, out=step)
     return net, state
 
 
@@ -373,7 +369,7 @@ def encode_dataset(net: Network, features) -> CodeMatrix:
     pack_matrix(hard_ternary(hash_features(net, features), alpha)).
     """
     d, bound = net.config.code_dim, _threshold(net.dtype, net.config.activation.alpha)
-    planes = _inference(net, features, (2, _words(d)), np.uint64, lambda h: _pack_planes(h, -bound, bound))
+    planes = _inference(net, features, (2, _words(d)), np.uint64, lambda h: _pack_planes(h, bound))
     return CodeMatrix(planes=planes, d=d)
 
 
@@ -397,7 +393,7 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     state = TrainState(velocity=[np.zeros_like(net.flat)])
     rng = np.random.default_rng(net_cfg.seed)
     grad = np.empty_like(net.flat)
-    grad_out = (grad, *_layer_views(net_cfg.layer_dims, grad))
+    grad_w, grad_b = _layer_views(net_cfg.layer_dims, grad)
     n = feats.shape[0]
     logs = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -408,8 +404,8 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
             loss_sum = 0.0
             for start in range(0, n, train_cfg.batch_size):
                 idx = perm[start : start + train_cfg.batch_size]
-                loss, grads = _loss_and_grads(net, feats[idx], labs[idx], k, grad_out)
-                sgd_momentum_step(net, state, grads, lr, train_cfg.momentum, train_cfg.weight_decay)
+                loss = _loss_and_grads(net, feats[idx], labs[idx], k, grad_w, grad_b)
+                sgd_momentum_step(net, state, [grad], lr, train_cfg.momentum, train_cfg.weight_decay)
                 loss_sum += loss * idx.size
             entry = EpochLog(epoch=epoch, k=k, lr=lr, loss=loss_sum / n)
             # a last step that diverges leaves the epoch's loss finite, but not the parameters

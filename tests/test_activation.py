@@ -189,7 +189,7 @@ def test_packing_at_the_shared_threshold_is_the_packed_float64_comparison(alpha,
     for dtype in (np.float32, np.float64):
         xs = np.resize(x, (x.size // d + 2, d)).astype(dtype)  # the grid repeated row by row over [rows, d]
         bound = _threshold(xs.dtype, alpha)
-        got = _pack_planes(xs, -bound, bound)
+        got = _pack_planes(xs, bound)
         assert got.tobytes() == pack_matrix(reference_hard_ternary(xs, alpha)).planes.tobytes()
 
 
@@ -284,6 +284,11 @@ def test_schedule_validation():
         ContinuationSchedule(stride_epochs=0)
     with pytest.raises(ValueError):
         ContinuationSchedule(total_epochs=0)
+    # non-integer epoch counts: a fractional stride made schedule_k return a float k, and a checkpoint cannot store one
+    for bad in (dict(stride_epochs=2.5, total_epochs=10), dict(total_epochs=10.0), dict(stride_epochs=2.0),
+                dict(stride_epochs="2"), dict(total_epochs=None)):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            ContinuationSchedule(**bad)
     sched = ContinuationSchedule()
     for epoch in (-1, 150, 1000):
         with pytest.raises(ValueError):

@@ -426,9 +426,9 @@ def test_float32_net_computes_in_float32(k):
     feats, labels = small_problem()
     net, _ = train(SMALL, quick_train_cfg(epochs=1), feats, labels, ternary=k is not None)
     assert [p.dtype for p in net.params()] == [np.float32] * len(net.params())
-    loss, grads = network._loss_and_grads(net, feats.astype(np.float32), labels, k)
+    loss, _ = loss_and_grad(net, feats.astype(np.float32), labels, k)
     assert type(loss) is float
-    assert [g.dtype for g in grads] == [np.float32] * len(grads)
+    assert [g.dtype for g in backward(net, feats, labels, k)] == [np.float32]
     assert [a.dtype for a in forward(net, feats, k)] == [np.float32] * 3
     # a float64 net keeps float64, whatever the batch's dtype
     fresh = Network.initialize(SMALL)
@@ -458,7 +458,7 @@ def test_training_loss_equals_cross_entropy(k):
         for size in (1, 7, 48):
             batch = rng.normal(size=(size, 3)).astype(net.dtype)
             batch_labels = rng.integers(0, 3, size=size)
-            loss, _ = network._loss_and_grads(net, batch, batch_labels, k)
+            loss, _ = loss_and_grad(net, batch, batch_labels, k)
             assert loss == cross_entropy(forward(net, batch, k)[2], batch_labels)
 
 
@@ -469,9 +469,16 @@ def log_softmax(logits):
     return shifted - np.log(total), exp / total
 
 
-def reference_loss_and_grads(net, batch, labels, k, out=None):
+def loss_and_grad(net, batch, labels, k):
+    """(loss, gradient vector) of _loss_and_grads, filling a fresh vector."""
+    grad = np.empty_like(net.flat)
+    return network._loss_and_grads(net, batch, labels, k, *network._layer_views(net.config.layer_dims, grad)), grad
+
+
+def reference_loss_and_grads(net, batch, labels, k, grad_w, grad_b):
     """The training step as composed before it was fused: the public activation
-    functions, a copied softmax and fresh arrays throughout; out is ignored."""
+    functions, a copied softmax and fresh arrays throughout, apart from the
+    gradient views grad_w and grad_b it fills. Returns the loss."""
     n_hidden = len(net.config.hidden_dims)
     h, hidden_in, pre_relu = batch, [], []
     for i in range(n_hidden):
@@ -489,8 +496,6 @@ def reference_loss_and_grads(net, batch, labels, k, out=None):
     dlogits = softmax.copy()
     dlogits[rows, labels] -= 1.0
     dlogits /= batch.shape[0]
-    grad = np.empty_like(net.flat)
-    grad_w, grad_b = network._layer_views(net.config.layer_dims, grad)
     np.matmul(hash_act.T, dlogits, out=grad_w[n_hidden + 1])
     dlogits.sum(axis=0, out=grad_b[n_hidden + 1])
     d_pre = dlogits @ net.weights[n_hidden + 1].T
@@ -506,7 +511,7 @@ def reference_loss_and_grads(net, batch, labels, k, out=None):
         d_z.sum(axis=0, out=grad_b[i])
         if i:
             d_h = d_z @ net.weights[i].T
-    return loss, [grad]
+    return loss
 
 
 def step_test_net(kind):
@@ -531,23 +536,23 @@ def test_fused_step_is_bit_equal_to_the_reference_step(kind, k):
     net = step_test_net(kind)
     before = net.flat.copy()
     rng = np.random.default_rng(13)
-    grad = np.empty_like(net.flat)
-    out = (grad, *network._layer_views(DEEP.layer_dims, grad))
+    grad, want = np.empty_like(net.flat), np.empty_like(net.flat)
+    grad_views, want_views = network._layer_views(DEEP.layer_dims, grad), network._layer_views(DEEP.layer_dims, want)
     for size in (1, 7, 64):
         batch = (rng.normal(size=(size, 3)) * 3).astype(net.dtype)
         labels = rng.integers(0, 3, size=size)
-        want_loss, want = reference_loss_and_grads(net, batch, labels, k)
+        want_loss = reference_loss_and_grads(net, batch, labels, k, *want_views)
         hash_pre = forward(net, batch, k)[0]
         if kind.endswith("zero"):
             assert not hash_pre.any()
         if kind.endswith("saturated") and k is not None and k >= 5:
             assert not smooth_ternary_grad(hash_pre, ActivationConfig(0.5, k)).any()
-        for loss, grads in (network._loss_and_grads(net, batch, labels, k),
-                            network._loss_and_grads(net, batch, labels, k, out)):
-            assert loss == want_loss
-            assert grads[0].dtype == net.dtype
-            assert grads[0].tobytes() == want[0].tobytes()
-        assert grads[0] is grad
+        # train's path fills one reused vector; backward's fills a fresh one
+        assert network._loss_and_grads(net, batch, labels, k, *grad_views) == want_loss
+        assert grad.tobytes() == want.tobytes()
+        [fresh] = backward(net, batch, labels, k)
+        assert fresh.dtype == net.dtype
+        assert fresh.tobytes() == want.tobytes()
     assert np.array_equal(net.flat, before)
 
 
