@@ -50,9 +50,6 @@ class TernaryCode:
             return NotImplemented
         return np.array_equal(self.trits, other.trits)
 
-    def __len__(self):
-        return self.trits.size
-
 
 def _checked_planes(planes, d: int, lead: int) -> np.ndarray:
     """planes as a checked C-contiguous uint64 array: (2, words) for one code (lead 0), (n, 2, words) for n (lead 1)."""

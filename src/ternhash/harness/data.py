@@ -205,31 +205,24 @@ def load_labels(path) -> LabelSets:
     return LabelSets.of(rows)
 
 
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
-
-
 def _parse_canonical(text: str):
     """(indptr, ids) of text in save_labels' form, or None for any other text.
 
     The form: ASCII digits, commas and newlines, every token 1-18 digits (so
     its value is exact in int64), no blank line, the final newline optional.
-    A token's value is the sum of its digits times 10^place, one reduceat.
     """
     if not text.isascii():
         return None
-    buf = np.frombuffer(text.removesuffix("\n").encode("ascii"), dtype=np.uint8)
-    digits = buf - np.uint8(48)  # wraps, so every non-digit reads >= 10
-    seps = np.flatnonzero(digits >= 10)
+    body = text.removesuffix("\n")
+    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero((buf - np.uint8(48)) >= 10)  # wraps, so every non-digit reads >= 10
     newline = buf[seps] == 10
     if not (newline | (buf[seps] == 44)).all():
         return None
-    ends = np.append(seps, buf.size)
-    lengths = np.diff(ends, prepend=-1) - 1
+    lengths = np.diff(seps, prepend=-1, append=buf.size) - 1
     if lengths.min() < 1 or lengths.max() > 18:
         return None
-    at = np.flatnonzero(digits < 10)
-    place = ends[at - np.arange(at.size)] - 1 - at  # the i-th digit, at byte p, lies in token p - i
-    ids = np.add.reduceat(digits[at] * _POW10[place], np.cumsum(lengths) - lengths)
+    ids = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
     return np.concatenate(([0], np.flatnonzero(newline) + 1, [lengths.size])), ids
 
 

@@ -224,13 +224,12 @@ def _loss_and_grads(net: Network, batch: np.ndarray, labels: np.ndarray, k, grad
     np.matmul(inputs[-1].T, d_s, out=grad_w[n_hidden])
     d_s.sum(axis=0, out=grad_b[n_hidden])
 
-    d_h = d_s @ net.weights[n_hidden].T
+    d_h = d_s
     for i in reversed(range(n_hidden)):
+        d_h = d_h @ net.weights[i + 1].T
         d_h *= inputs[i + 1] > 0
         np.matmul(inputs[i].T, d_h, out=grad_w[i])
         d_h.sum(axis=0, out=grad_b[i])
-        if i:
-            d_h = d_h @ net.weights[i].T
     return loss
 
 
@@ -310,7 +309,6 @@ def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, m
     v *= momentum
     v += step
     p -= np.multiply(v, lr, out=step)
-    return net, state
 
 
 def _row_blocks(n: int):

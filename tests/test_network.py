@@ -514,30 +514,34 @@ def reference_loss_and_grads(net, batch, labels, k, grad_w, grad_b):
     return loss
 
 
-def step_test_net(kind):
-    """DEEP as train() returns it (float32), as Network.initialize gives it (float64), all
+def step_test_net(kind, cfg):
+    """cfg's net as train() returns it (float32), as Network.initialize gives it (float64), all
     zeros (every hash unit exactly 0), or with a hash layer scaled until tanh saturates."""
     dtype = np.float32 if kind.startswith("f32") else np.float64
     if kind == "f32-trained":
         feats, labels = small_problem()
-        return train(DEEP, quick_train_cfg(epochs=2), feats, labels)[0]
+        return train(cfg, quick_train_cfg(epochs=2), feats, labels)[0]
     if kind.endswith("zero"):
-        return with_dtype(zero_network(DEEP), dtype)
-    net = with_dtype(Network.initialize(DEEP), dtype)
+        return with_dtype(zero_network(cfg), dtype)
+    net = with_dtype(Network.initialize(cfg), dtype)
     if kind.endswith("saturated"):
-        net.weights[len(DEEP.hidden_dims)] *= 1000
+        net.weights[len(cfg.hidden_dims)] *= 1000
     return net
 
 
+# DEEP (two hidden layers) keeps its cases' ids; the ids at 0, 1 and 3 hidden layers end in hidden0, hidden1, hidden3
+@pytest.mark.parametrize("cfg", [pytest.param(DEEP, id=pytest.HIDDEN_PARAM)] + [
+    pytest.param(dataclasses.replace(DEEP, hidden_dims=dims), id=f"hidden{len(dims)}")
+    for dims in ((), (12,), (12, 10, 8))])
 @pytest.mark.parametrize("kind", ["f32-trained", "f64-initialized", "f32-zero", "f64-zero",
                                   "f32-saturated", "f64-saturated"])
 @pytest.mark.parametrize("k", [3, 5, 7, 9, 11, None])
-def test_fused_step_is_bit_equal_to_the_reference_step(kind, k):
-    net = step_test_net(kind)
+def test_fused_step_is_bit_equal_to_the_reference_step(kind, k, cfg):
+    net = step_test_net(kind, cfg)
     before = net.flat.copy()
     rng = np.random.default_rng(13)
     grad, want = np.empty_like(net.flat), np.empty_like(net.flat)
-    grad_views, want_views = network._layer_views(DEEP.layer_dims, grad), network._layer_views(DEEP.layer_dims, want)
+    grad_views, want_views = network._layer_views(cfg.layer_dims, grad), network._layer_views(cfg.layer_dims, want)
     for size in (1, 7, 64):
         batch = (rng.normal(size=(size, 3)) * 3).astype(net.dtype)
         labels = rng.integers(0, 3, size=size)

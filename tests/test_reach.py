@@ -26,19 +26,19 @@ ACCEPTANCE = "tests/test_acceptance.py"
 LIBRARY = "README Library section"
 BENCHMARK = "benchmarks/"
 
-# file:qualified name -> the consumer it is kept for, for each src/ function the CLI runs never enter
+# file:qualified name -> the consumer it is kept for, for each src/ function the CLI runs never enter. A dunder
+# or private helper is reached through an operator or a public name, so it gives (consumer, the text that reaches it).
 UNREACHED = {
     "activation.py:smooth_ternary_grad": ACCEPTANCE,
-    "codes.py:_is_trits": ACCEPTANCE,  # TernaryCode's and pack_matrix's trit check
-    "codes.py:TernaryCode.__post_init__": ACCEPTANCE,
-    "codes.py:TernaryCode.__eq__": ACCEPTANCE,
-    "codes.py:TernaryCode.__len__": ACCEPTANCE,
+    "codes.py:_is_trits": (ACCEPTANCE, "TernaryCode(rng.integers(-1, 2, size=128)"),
+    "codes.py:TernaryCode.__post_init__": (ACCEPTANCE, "TernaryCode(rng.integers(-1, 2, size=128)"),
+    "codes.py:TernaryCode.__eq__": (LIBRARY, "`TernaryCode`, like `PackedCode` and `CodeMatrix`, compares by value"),
     "codes.py:_Planes.pos": LIBRARY,
     "codes.py:_Planes.neg": LIBRARY,
-    "codes.py:PackedCode.__post_init__": ACCEPTANCE,
-    "codes.py:PackedCode.__eq__": ACCEPTANCE,
-    "codes.py:CodeMatrix.__getitem__": ACCEPTANCE,  # criterion 8 compares a CodeMatrix with a PackedCode list
-    "codes.py:CodeMatrix.__eq__": ACCEPTANCE,
+    "codes.py:PackedCode.__post_init__": (ACCEPTANCE, "pack(TernaryCode(t))"),
+    "codes.py:PackedCode.__eq__": (ACCEPTANCE, "loaded == codes"),
+    "codes.py:CodeMatrix.__getitem__": (ACCEPTANCE, "loaded == codes"),  # a CodeMatrix against a PackedCode list
+    "codes.py:CodeMatrix.__eq__": (ACCEPTANCE, "loaded == codes"),
     "codes.py:ternarize": LIBRARY,
     "codes.py:pack": ACCEPTANCE,
     "codes.py:pack_matrix": LIBRARY,
@@ -49,10 +49,10 @@ UNREACHED = {
     "network.py:backward": ACCEPTANCE,
     "network.py:Network.params": ACCEPTANCE,
     "network.py:hash_features": LIBRARY,
-    "retrieval.py:LabelSets.__iter__": LIBRARY,
-    "retrieval.py:LabelSets.__eq__": LIBRARY,
+    "retrieval.py:LabelSets.__iter__": (LIBRARY, "behaves as a read-only list of `frozenset`"),
+    "retrieval.py:LabelSets.__eq__": (LIBRARY, "`Dataset`s are equal when their features, label sets"),
     "retrieval.py:query_topk": BENCHMARK,
-    "harness/data.py:Dataset.__eq__": LIBRARY,
+    "harness/data.py:Dataset.__eq__": (LIBRARY, "`Dataset`s are equal when their features, label sets"),
     "harness/experiment.py:two_step_baseline": BENCHMARK,
 }
 
@@ -129,7 +129,12 @@ def test_each_declared_consumer_names_its_function():
     library = readme[readme.index("## Library"):readme.index("## File formats")]
     texts = {ACCEPTANCE: (ROOT / ACCEPTANCE).read_text(encoding="utf-8"), LIBRARY: library,
              BENCHMARK: "".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "benchmarks").glob("*.py")))}
-    for entry, consumer in UNREACHED.items():
+    texts = {consumer: " ".join(text.split()) for consumer, text in texts.items()}  # README lines wrap anywhere
+    for entry, declared in UNREACHED.items():
         name = entry.rsplit(":", 1)[1].rsplit(".", 1)[-1]
-        if not name.startswith("_"):  # dunders and private helpers are reached through operators and public names
-            assert re.search(rf"\b{name}\b", texts[consumer]), f"{entry}: {consumer} does not name {name}"
+        if isinstance(declared, tuple):
+            consumer, expression = declared
+            assert expression in texts[consumer], f"{entry}: {consumer} does not hold {expression!r}"
+        else:
+            assert not name.startswith("_"), f"{entry}: give the expression that reaches {name}"
+            assert re.search(rf"\b{name}\b", texts[declared]), f"{entry}: {declared} does not name {name}"
