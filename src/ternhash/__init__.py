@@ -47,7 +47,6 @@ from .retrieval import (
     EvalReport,
     LabelSets,
     RetrievalIndex,
-    average_precision,
     format_report,
     mean_ap,
     query_topk,
@@ -88,7 +87,6 @@ __all__ = [
     "EvalReport",
     "LabelSets",
     "RetrievalIndex",
-    "average_precision",
     "format_report",
     "mean_ap",
     "query_topk",

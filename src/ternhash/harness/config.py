@@ -18,7 +18,7 @@ GENERATOR_KEYS = ("classes", "per_class", "input_dim", "spread", "query_fraction
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Construction checks only seeds and the data_prefix rule; seed_setup checks the rest (eval_k by _resolve_k)."""
+    """Construction checks only seeds and data_prefix; seed_setup checks the rest (eval_k by _resolve_k)."""
     # dataset: file mode (data_prefix) or synthetic generator
     data_prefix: str | None = None
     classes: int = 10
@@ -53,6 +53,9 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds!r}")
         if self.data_prefix is not None:
+            prefix = self.data_prefix
+            if not isinstance(prefix, str) or "#" in prefix or prefix != prefix.strip() or len(prefix.splitlines()) > 1:
+                raise ValueError(f"data_prefix must be a str with no '#', line break or outer whitespace: {prefix!r}")
             synth = [key for key in GENERATOR_KEYS if getattr(self, key) != _DEFAULTS[key]]
             if synth:
                 raise ValueError(f"data_prefix excludes synthetic-generator keys: {sorted(synth)}")

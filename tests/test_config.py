@@ -1,5 +1,6 @@
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -117,6 +118,16 @@ def test_every_constructible_config_round_trips(file_mode, changed):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@given(st.text())
+def test_every_data_prefix_that_constructs_round_trips(prefix):
+    try:
+        cfg = ExperimentConfig(data_prefix=prefix)
+    except ValueError as exc:
+        assert "#" in prefix or prefix != prefix.strip() or len(prefix.splitlines()) > 1, exc
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_generator_keys_are_gen_synthetics_parameters():
     params = inspect.signature(gen_synthetic).parameters
     assert set(GENERATOR_KEYS) == params.keys() - {"seed"}
@@ -170,6 +181,11 @@ def test_config_validation():
         ExperimentConfig(seeds=(1, 1))
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=(-1,))
+    # parse_config cuts each line at "#", strips it and splits the text at line breaks, and reads a str:
+    # none of these would read back
+    for prefix in ("runs/a#b", " runs/x ", "runs/x\n", "a\rb", "a\u2028b", Path("runs/x")):
+        with pytest.raises(ValueError, match="data_prefix must be a str with no '#', line break"):
+            ExperimentConfig(data_prefix=prefix)
     # eval_k is checked against the retrieval split by seed_setup (tests/test_experiment.py), not here
     for eval_k in (0, "some", True):
         assert ExperimentConfig(eval_k=eval_k).eval_k == eval_k
@@ -196,8 +212,6 @@ def test_config_that_is_not_utf8_names_the_file(tmp_path):
 
 
 def test_reference_configs_parse():
-    from pathlib import Path
-
     config_dir = Path(__file__).resolve().parents[1] / "configs"
     d16 = load_config(config_dir / "reference_d16.cfg")
     d32 = load_config(config_dir / "reference_d32.cfg")

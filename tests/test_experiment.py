@@ -159,7 +159,7 @@ def test_run_seed_shapes():
     assert all(e.k is None for e in r.two_step_logs)
 
 
-@pytest.mark.parametrize("eval_k", [0, "some", True])
+@pytest.mark.parametrize("eval_k", [0, "some", True, np.int64(0), np.bool_(True)])
 def test_seed_setup_rejects_a_bad_eval_k_before_any_epoch(monkeypatch, eval_k):
     trained = []
     monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: trained.append(args))

@@ -10,7 +10,6 @@ from ternhash import (
     LabelSets,
     RetrievalIndex,
     TernaryCode,
-    average_precision,
     format_report,
     mean_ap,
     pack,
@@ -62,22 +61,11 @@ def test_query_topk_validation():
     index = RetrievalIndex(codes=[packed(1, 0)], labels=[{0}])
     with pytest.raises(ValueError):
         query_topk(index, packed(1, 0, -1), "all")
-    for bad in (0, 2, -1, "some", 1.5, True):
+    for bad in (0, 2, -1, "some", 1.5, True, np.int64(0), np.int32(2), np.bool_(True)):
         with pytest.raises(ValueError):
             query_topk(index, packed(1, 0), bad)
-
-
-def test_average_precision():
-    # sequential accumulation: (1/1 + 2/3) / 2, matched operation for operation
-    assert average_precision([1, 0, 1], 3) == (1 / 1 + 2 / 3) / 2
-    assert average_precision([1, 1, 1, 1], 4) == 1.0
-    assert average_precision([0, 0, 0], 3) == 0.0
-    assert average_precision([1, 0, 1], 2) == 1.0
-    assert average_precision([1, 0, 1], 3, total_relevant=3) == (1 / 1 + 2 / 3) / 3
-    with pytest.raises(ValueError):
-        average_precision([1, 0], 3)
-    with pytest.raises(ValueError):
-        average_precision([1, 0], 0)
+    for good in (np.int64(1), np.int32(1)):
+        assert query_topk(index, packed(1, 0), good) == [(0, 0)]
 
 
 def test_mean_ap_duplicated_queries():
@@ -90,14 +78,32 @@ def test_mean_ap_duplicated_queries():
     assert report.k == 1
 
 
-def test_mean_ap_single_query_example():
-    # distances (0, 8, 1) with labels (rel, rel, irrel): ranked relevances (1, 0, 1)
+@pytest.mark.parametrize(
+    "query, k, normalization, ap",
+    [
+        # distances (0, 8, 1) with labels (rel, rel, irrel): ranked relevances (1, 0, 1), two relevant in all
+        pytest.param((1, 1, 1, 1), 3, "found", (1 / 1 + 2 / 3) / 2, id="found-k3"),
+        pytest.param((1, 1, 1, 1), 3, "capped", (1 / 1 + 2 / 3) / 2, id="capped-k3"),
+        pytest.param((1, 1, 1, 1), "all", "found", (1 / 1 + 2 / 3) / 2, id="found-all"),
+        pytest.param((1, 1, 1, 1), "all", "capped", (1 / 1 + 2 / 3) / 2, id="capped-all"),
+        pytest.param((1, 1, 1, 1), 2, "found", 1 / 1, id="found-k2"),
+        # capped divides by min(2, 2), more than the one hit inside the cut
+        pytest.param((1, 1, 1, 1), 2, "capped", 1 / 1 / 2, id="capped-k2"),
+        # distances (1, 7, 0): ranked relevances (0, 1, 1)
+        pytest.param((1, 1, 1, 0), 2, "found", 1 / 2, id="second-found-k2"),
+        pytest.param((1, 1, 1, 0), 2, "capped", 1 / 2 / 2, id="second-capped-k2"),
+        pytest.param((1, 1, 1, 0), 1, "found", 0.0, id="no-hit-found-k1"),
+        pytest.param((1, 1, 1, 0), 1, "capped", 0.0, id="no-hit-capped-k1"),
+    ],
+)
+def test_mean_ap_single_query_example(query, k, normalization, ap):
     index = RetrievalIndex(
         codes=[packed(1, 1, 1, 1), packed(-1, -1, -1, -1), packed(1, 1, 1, 0)],
         labels=[{7}, {7}, {0}],
     )
-    report = mean_ap(index, [packed(1, 1, 1, 1)], [{7}], 3)
-    assert report.map == (1 / 1 + 2 / 3) / 2
+    report = mean_ap(index, [packed(*query)], [{7}], k, normalization=normalization)
+    assert report.per_query_ap == [ap]
+    assert report.map == ap
 
 
 def test_mean_ap_is_mean_of_per_query():
@@ -138,6 +144,12 @@ def test_mean_ap_validation():
         mean_ap(index, [packed(1, 0)], [{0}], "all", normalization="other")
     with pytest.raises(ValueError):
         mean_ap(index, [packed(1, 0)], [set()], "all")
+    for bad in (0, 2, "some", True, np.int64(0), np.int32(2), np.bool_(True)):
+        with pytest.raises(ValueError):
+            mean_ap(index, [packed(1, 0)], [{0}], bad)
+    for good in (np.int64(1), np.int32(1)):
+        report = mean_ap(index, [packed(1, 0)], [{0}], good)
+        assert report.k == 1 and type(report.k) is int
 
 
 def test_capped_normalization():
@@ -344,15 +356,6 @@ def test_mean_ap_topk_memory_stays_small():
     # one query's XOR of the one-word scan rows is 8 bytes per item and its distances and selection a few more
     # (about 10.4 in all); scan rows rebuilt per query, or the partition run on an int64 copy, pass 16
     assert peak < 16 * n
-
-
-def test_average_precision_equals_loop():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        rel = (rng.random(int(rng.integers(1, 300))) < rng.random()).tolist()
-        k = int(rng.integers(1, len(rel) + 1))
-        for total in (None, 0, k, sum(rel[:k]) + 3):
-            assert average_precision(rel, k, total_relevant=total) == loop_average_precision(rel, k, total)
 
 
 def test_label_sets_is_a_sequence_of_frozensets():
