@@ -40,16 +40,17 @@ class ContinuationSchedule:
     total_epochs: int = 150
 
     def __post_init__(self):
+        # each field is below 2**32: a checkpoint header stores it as a u32
         for name in ("k_start", "k_end"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 3 or v % 2 == 0:
-                raise ValueError(f"{name} must be an odd integer >= 3, got {v!r}")
+            if not isinstance(v, int) or not 3 <= v < 2**32 or v % 2 == 0:
+                raise ValueError(f"{name} must be an odd integer in [3, 2**32), got {v!r}")
         if self.k_start > self.k_end:
             raise ValueError(f"k_start ({self.k_start}) must not exceed k_end ({self.k_end})")
         for name in ("stride_epochs", "total_epochs"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            if not isinstance(v, int) or not 1 <= v < 2**32:
+                raise ValueError(f"{name} must be an integer in [1, 2**32), got {v!r}")
 
 
 def _as_finite(x) -> np.ndarray:

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ..codes import load_codes, save_codes
-from ..network import check_checkpoint_fields, load_checkpoint, quantization_error, save_checkpoint, train
+from ..network import load_checkpoint, quantization_error, save_checkpoint, train
 from ..retrieval import RetrievalIndex, format_report, mean_ap
 from .config import _DEFAULTS, GENERATOR_KEYS, load_config, parse_eval_k
 from .data import gen_synthetic, load_features, load_labels, save_splits, single_labels
@@ -27,7 +27,6 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     dataset, net_cfg, train_cfg = seed_setup(cfg, cfg.seeds[0] if args.seed is None else args.seed)
-    check_checkpoint_fields(net_cfg, train_cfg.schedule)
     feats, label_sets = dataset.subset(dataset.train_ids)
 
     def report(net, entry):

@@ -48,8 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not self.seeds or any(not isinstance(s, int) or s < 0 for s in self.seeds):
-            raise ValueError(f"seeds must be non-negative integers, got {self.seeds!r}")
+        if not self.seeds or any(not isinstance(s, int) or not 0 <= s < 2**64 for s in self.seeds):
+            raise ValueError(f"seeds must be integers in [0, 2**64), got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds!r}")
         if self.data_prefix is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._fileio import read_header, read_payload, read_text, write_payload
-from ..retrieval import LabelSets
+from ..retrieval import LabelSets, _int64_vector
 
 _FEATURES_MAGIC = b"TFV1"
 _MAX_SIZE = np.iinfo(np.intp).max  # numpy's largest array dimension
@@ -41,9 +41,9 @@ class Dataset:
             raise ValueError("labels must be non-negative")
         ids = {}
         for name in ("train_ids", "retrieval_ids", "query_ids"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            if arr.ndim != 1 or np.unique(arr).size != arr.size:
-                raise ValueError(f"{name} must be a 1-d list of distinct ids")
+            arr = _int64_vector(getattr(self, name), name)
+            if np.unique(arr).size != arr.size:
+                raise ValueError(f"{name} must be a list of distinct ids")
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise ValueError(f"{name} out of range [0, {n})")
             ids[name] = arr

@@ -54,10 +54,13 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        if any(not isinstance(v, int) or v < 1 for v in self.layer_dims):
-            raise ValueError(f"all layer dims must be positive integers, got {self.layer_dims}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # the bounds are the widths of save_checkpoint's header fields: u64 seed, every other integer u32
+        if any(not isinstance(v, int) or not 1 <= v < 2**32 for v in self.layer_dims):
+            raise ValueError(f"all layer dims must be integers in [1, 2**32), got {self.layer_dims}")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if self.activation.k >= 2**32:
+            raise ValueError(f"activation k must be below 2**32, got {self.activation.k!r}")
 
     @property
     def layer_dims(self) -> tuple:
@@ -415,18 +418,6 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     return net, logs
 
 
-def check_checkpoint_fields(cfg: NetworkConfig, schedule: ContinuationSchedule) -> None:
-    """Raise ValueError unless cfg and schedule fit save_checkpoint's fields: u64 seed, every other integer u32."""
-    if cfg.seed >= 2**64:
-        raise ValueError(f"seed {cfg.seed} does not fit a checkpoint: it must be below 2**64")
-    dims = cfg.layer_dims
-    if max(dims) >= 2**32:
-        raise ValueError(f"layer dims {dims} do not fit a checkpoint: each must be below 2**32")
-    ks = (cfg.activation.k, schedule.k_start, schedule.k_end, schedule.stride_epochs, schedule.total_epochs)
-    if max(ks) >= 2**32:
-        raise ValueError(f"k, k_start, k_end, stride and epochs {ks} do not fit a checkpoint: each must be below 2**32")
-
-
 def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
     """Write magic 'TNH1', the config block, then the flat parameters as float32 little-endian.
 
@@ -435,7 +426,6 @@ def save_checkpoint(path, net: Network, schedule: ContinuationSchedule) -> None:
     u32 k_start, u32 k_end, u32 stride_epochs, u32 total_epochs.
     """
     cfg = net.config
-    check_checkpoint_fields(cfg, schedule)
     header = struct.pack(f"<II{len(cfg.hidden_dims)}I{_CHECKPOINT_TAIL}", cfg.input_dim, len(cfg.hidden_dims),
                          *cfg.hidden_dims, cfg.code_dim, cfg.num_classes, cfg.seed, cfg.activation.alpha,
                          cfg.activation.k, schedule.k_start, schedule.k_end, schedule.stride_epochs,

@@ -20,7 +20,7 @@ from .codes import CodeMatrix, PackedCode, _scan_rows
 
 def _int64_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and not np.can_cast(arr.dtype, np.int64)):
+    if arr.ndim != 1 or arr.dtype == bool or (arr.size and not np.can_cast(arr.dtype, np.int64)):
         raise ValueError(f"{name} must be a 1-d integer array, got dtype {arr.dtype} and shape {arr.shape}")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
@@ -61,13 +61,13 @@ class LabelSets(Sequence):
     def of(cls, labels) -> LabelSets:
         """The label sets in CSR form; a LabelSets is returned as is.
 
-        Every label must be an int or numpy integer.
+        Every label must be an int or numpy integer, not a bool.
         """
         if isinstance(labels, LabelSets):
             return labels
         rows = [frozenset(ls) for ls in labels]
         flat = list(itertools.chain.from_iterable(rows))
-        if not all(issubclass(t, (int, np.integer)) for t in set(map(type, flat))):
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat))):
             raise ValueError("labels must be integers")
         try:
             ids = np.fromiter(flat, dtype=np.int64, count=len(flat))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,8 +288,21 @@ def test_schedule_validation():
     # non-integer epoch counts: a fractional stride made schedule_k return a float k, and a checkpoint cannot store one
     for bad in (dict(stride_epochs=2.5, total_epochs=10), dict(total_epochs=10.0), dict(stride_epochs=2.0),
                 dict(stride_epochs="2"), dict(total_epochs=None)):
-        with pytest.raises(ValueError, match="must be a positive integer"):
+        with pytest.raises(ValueError, match=re.escape("must be an integer in [1, 2**32)")):
             ContinuationSchedule(**bad)
+    # every field fits the checkpoint header's u32 at its width minus one, and is refused at the width
+    # (the first odd k past it, 2**32 + 1)
+    most = 2**32 - 1
+    assert ContinuationSchedule(k_start=most, k_end=most, stride_epochs=most, total_epochs=most).k_end == most
+    for name, width, message in (
+        ("k_start", 2**32 + 1, "k_start must be an odd integer in [3, 2**32), got 4294967297"),
+        ("k_end", 2**32 + 1, "k_end must be an odd integer in [3, 2**32), got 4294967297"),
+        ("stride_epochs", 2**32, "stride_epochs must be an integer in [1, 2**32), got 4294967296"),
+        ("total_epochs", 2**32, "total_epochs must be an integer in [1, 2**32), got 4294967296"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            ContinuationSchedule(**{name: width})
+        assert str(exc.value) == message
     sched = ContinuationSchedule()
     for epoch in (-1, 150, 1000):
         with pytest.raises(ValueError):

@@ -326,20 +326,33 @@ def test_diverging_train_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "over, message",
+    "command, key, value, flags, message",
     [
-        (dict(seeds=(2**64,)), "error: seed 18446744073709551616 does not fit a checkpoint"),
-        (dict(code_dim=2**32), "error: layer dims (8, 16, 4294967296, 3) do not fit a checkpoint"),
+        ("train", "seeds", str(2**64), [], "error: seeds must be integers in [0, 2**64), got (18446744073709551616,)"),
+        ("train", "seeds", "1", ["--seed", str(2**64)],
+         "error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
+        ("train", "code_dim", str(2**32), [],
+         "error: all layer dims must be integers in [1, 2**32), got (8, 16, 4294967296, 3)"),
         # fits the header's u32, but its parameters cannot be allocated (about 450 GiB)
-        (dict(hidden_dims=(4_000_000_000,)), "error: Unable to allocate"),
+        ("train", "hidden_dims", "4000000000", [], "error: Unable to allocate"),
+        # a seed that fails after the first has trained would waste that run
+        ("compare", "seeds", f"1,{2**64}", [],
+         "error: seeds must be integers in [0, 2**64), got (1, 18446744073709551616)"),
     ],
-    ids=["seed", "code_dim", "hidden_dims"],
+    ids=["seed", "seed-flag", "code_dim", "hidden_dims", "compare-seed"],
 )
-def test_train_that_cannot_be_saved_or_allocated_fails_before_any_epoch(tmp_path, capsys, over, message):
-    cfg = write_tiny_config(tmp_path / "big.cfg", **over)
-    code, out, err = run(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "m.tnh"))
+def test_train_that_cannot_be_saved_or_allocated_fails_before_any_epoch(
+    tmp_path, capsys, monkeypatch, command, key, value, flags, message
+):
+    base = write_tiny_config(tmp_path / "base.cfg").read_text().splitlines()
+    lines = [line for line in base if line.split(" = ")[0] != key] + [f"{key} = {value}"]
+    (tmp_path / "big.cfg").write_text("\n".join(lines) + "\n")
+    runs = []  # compare trains through experiment.train; train prints each epoch it runs
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: runs.append(args))
+    argv = ["--out", str(tmp_path / "m.tnh")] if command == "train" else []
+    code, out, err = run(capsys, command, "--config", str(tmp_path / "big.cfg"), *flags, *argv)
     assert code == 1
-    assert out == ""
+    assert out == "" and runs == []
     assert err.startswith(message)
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "m.tnh").exists()
@@ -471,8 +484,6 @@ def test_every_config_value_runs_or_is_one_line_error(tmp_path, capsys, command,
     base = write_tiny_config(tmp_path / "base.cfg", **CONTRACT_CONFIG).read_text().splitlines()
     broken = []
     for value in CONTRACT_VALUES:
-        if (key, value) == ("epochs", str(2**64)):
-            continue  # a valid config that trains for ever, not a defect
         lines = [line for line in base if line.split(" = ")[0] != key]
         if value is not None:
             lines.append(f"{key} = {value}")

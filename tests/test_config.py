@@ -1,4 +1,5 @@
 import inspect
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -179,8 +180,10 @@ def test_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=(1, 1))
-    with pytest.raises(ValueError):
-        ExperimentConfig(seeds=(-1,))
+    for seeds in ((-1,), (1, 2**64)):
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers in [0, 2**64), got {seeds}")):
+            ExperimentConfig(seeds=seeds)
+    assert ExperimentConfig(seeds=(0, 2**64 - 1)).seeds == (0, 2**64 - 1)
     # parse_config cuts each line at "#", strips it and splits the text at line breaks, and reads a str:
     # none of these would read back
     for prefix in ("runs/a#b", " runs/x ", "runs/x\n", "a\rb", "a\u2028b", Path("runs/x")):

@@ -70,8 +70,14 @@ def test_dataset_validation():
         ({"labels": [{0}, {2**63}, {0}, {0}]}, "labels must fit in a signed 64-bit integer"),
         ({"query_ids": [1, 2]}, "query and retrieval ids must not overlap"),
         ({"train_ids": [3]}, "train ids must be a subset of retrieval ids"),
-        ({"retrieval_ids": [0, 0]}, "retrieval_ids must be a 1-d list of distinct ids"),
-        ({"train_ids": [[0]]}, "train_ids must be a 1-d list of distinct ids"),
+        ({"retrieval_ids": [0, 0]}, "retrieval_ids must be a list of distinct ids"),
+        ({"train_ids": [[0]]}, "train_ids must be a 1-d integer array, got dtype int64 and shape (1, 1)"),
+        # ids are integers: a float is not cut to one, and a bool is not read as 0 or 1
+        ({"train_ids": [0.9]}, "train_ids must be a 1-d integer array, got dtype float64 and shape (1,)"),
+        ({"retrieval_ids": [0.2, 1.7]}, "retrieval_ids must be a 1-d integer array, got dtype float64 and shape (2,)"),
+        ({"query_ids": [2.5, 3]}, "query_ids must be a 1-d integer array, got dtype float64 and shape (2,)"),
+        ({"train_ids": [True]}, "train_ids must be a 1-d integer array, got dtype bool and shape (1,)"),
+        ({"labels": [{0}, {True}, {0}, {0}]}, "labels must be integers"),
         ({"query_ids": [2, 7]}, "query_ids out of range [0, 4)"),
         ({"retrieval_ids": [-1, 0]}, "retrieval_ids out of range [0, 4)"),
         ({"train_ids": []}, "train, retrieval, and query splits must all be non-empty"),

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 import struct
 import tracemalloc
 import warnings
@@ -807,24 +806,33 @@ def test_load_checkpoint_returns_the_parameters_it_returned_before(tmp_path):
         assert str(exc.value) == message
 
 
-def test_checkpoint_fields_are_checked_before_the_file_is_written(tmp_path):
-    schedule = quick_train_cfg().schedule
-    path = tmp_path / "model.tnh"
-    for over, message in (
-        (dict(seed=2**64), "seed 18446744073709551616 does not fit a checkpoint"),
-        (dict(code_dim=2**32), "layer dims (3, 5, 4294967296, 3) do not fit a checkpoint"),
-        (dict(num_classes=2**32), "layer dims (3, 5, 4, 4294967296) do not fit a checkpoint"),
+def test_every_network_config_that_constructs_fits_a_checkpoint(tmp_path):
+    # each field's width minus one constructs, and the width is refused
+    dims = "all layer dims must be integers in [1, 2**32), got"
+    for key, fits, too_wide, message in (
+        ("seed", 2**64 - 1, 2**64, "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+        ("input_dim", 2**32 - 1, 2**32, f"{dims} (4294967296, 5, 4, 3)"),
+        ("hidden_dims", (5, 2**32 - 1), (5, 2**32), f"{dims} (3, 5, 4294967296, 4, 3)"),
+        ("code_dim", 2**32 - 1, 2**32, f"{dims} (3, 5, 4294967296, 3)"),
+        ("num_classes", 2**32 - 1, 2**32, f"{dims} (3, 5, 4, 4294967296)"),
+        # k is odd, so the first k past the width is 2**32 + 1
+        ("activation", ActivationConfig(k=2**32 - 1), ActivationConfig(k=2**32 + 1),
+         "activation k must be below 2**32, got 4294967297"),
     ):
-        cfg = dataclasses.replace(SMALL, **over)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            network.check_checkpoint_fields(cfg, schedule)
-    network.check_checkpoint_fields(dataclasses.replace(SMALL, seed=2**64 - 1, input_dim=2**32 - 1), schedule)
-    with pytest.raises(ValueError, match="k_end"):
-        network.check_checkpoint_fields(SMALL, dataclasses.replace(schedule, k_end=2**32 + 1))
-    net = Network(config=dataclasses.replace(SMALL, seed=2**64), flat=Network.initialize(SMALL).flat)
-    with pytest.raises(ValueError, match="seed"):
-        save_checkpoint(path, net, schedule)
-    assert not path.exists()
+        assert getattr(dataclasses.replace(SMALL, **{key: fits}), key) == fits
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(SMALL, **{key: too_wide})
+        assert str(exc.value) == message
+    # a checkpoint with every field the net's size allows at its maximum round-trips byte-exactly
+    cfg = dataclasses.replace(SMALL, seed=2**64 - 1, activation=ActivationConfig(k=2**32 - 1))
+    most = 2**32 - 1
+    schedule = ContinuationSchedule(k_start=most, k_end=most, stride_epochs=most, total_epochs=most)
+    path, again = tmp_path / "model.tnh", tmp_path / "again.tnh"
+    save_checkpoint(path, Network.initialize(cfg), schedule)
+    net, loaded_schedule = load_checkpoint(path)
+    assert (net.config, loaded_schedule) == (cfg, schedule)
+    save_checkpoint(again, net, loaded_schedule)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_errors(tmp_path):

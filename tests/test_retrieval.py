@@ -388,7 +388,7 @@ def test_label_sets_is_a_sequence_of_frozensets():
 
 
 def test_label_sets_validation():
-    for bad in ([{1.0}], [{"a"}], [{1, None}]):
+    for bad in ([{1.0}], [{"a"}], [{1, None}], [{True}], [{2, False}], [{np.True_}]):
         with pytest.raises(ValueError, match="integers"):
             LabelSets.of(bad)
     for bad in ([{2**63}], [{np.uint64(2**64 - 1)}]):
@@ -399,8 +399,9 @@ def test_label_sets_validation():
         LabelSets(indptr=[0, 2], ids=[1])
     with pytest.raises(ValueError, match="indptr"):
         LabelSets(indptr=[0, 2, 1], ids=[1])
-    with pytest.raises(ValueError, match="integer"):
-        LabelSets(indptr=[0, 1], ids=[1.5])
+    for indptr, ids in (([0, 1], [1.5]), ([0, 1], np.array([True])), (np.array([False, True]), [1])):
+        with pytest.raises(ValueError, match="integer"):
+            LabelSets(indptr=indptr, ids=ids)
     # construction sorts each row and drops its repeats
     labels = LabelSets(indptr=[0, 3, 4, 5, 8], ids=[5, 1, 5, 2, 4, 9, 9, 9])
     assert labels.indptr.tolist() == [0, 2, 3, 4, 5]
