@@ -14,6 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _int_in(name: str, value, lo: int, hi: int | float = math.inf) -> int:
+    """value as an int if it is an int or numpy integer, not a bool, in [lo, hi); else a ValueError naming it."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= int(value) < hi:
+        return int(value)
+    top = f"2**{hi.bit_length() - 1}" if hi != math.inf and hi >= 2**32 and hi & (hi - 1) == 0 else hi
+    raise ValueError(f"{name} must be an integer in [{lo}, {top}), got {value!r}")
+
+
+def _check_alpha(alpha) -> None:
+    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
+        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class ActivationConfig:
     """Scale/threshold alpha and odd sharpness exponent k."""
@@ -22,12 +35,12 @@ class ActivationConfig:
     k: int = 3
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)) or self.alpha <= 0:
-            raise ValueError(f"alpha must be a positive finite real, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.alpha <= 2.0**-150:  # float32 rounds it to 0, and a float32 network divides by it
             raise ValueError(f"alpha {self.alpha!r} rounds to 0 in float32, in which training computes")
-        if not isinstance(self.k, int) or self.k < 3 or self.k % 2 == 0:
-            raise ValueError(f"k must be an odd integer >= 3, got {self.k!r}")
+        object.__setattr__(self, "k", _int_in("k", self.k, 3))
+        if self.k % 2 == 0:
+            raise ValueError(f"k must be odd, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -42,15 +55,13 @@ class ContinuationSchedule:
     def __post_init__(self):
         # each field is below 2**32: a checkpoint header stores it as a u32
         for name in ("k_start", "k_end"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 3 <= v < 2**32 or v % 2 == 0:
-                raise ValueError(f"{name} must be an odd integer in [3, 2**32), got {v!r}")
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 3, 2**32))
+            if getattr(self, name) % 2 == 0:
+                raise ValueError(f"{name} must be odd, got {getattr(self, name)}")
         if self.k_start > self.k_end:
             raise ValueError(f"k_start ({self.k_start}) must not exceed k_end ({self.k_end})")
         for name in ("stride_epochs", "total_epochs"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 1 <= v < 2**32:
-                raise ValueError(f"{name} must be an integer in [1, 2**32), got {v!r}")
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, 2**32))
 
 
 def _as_finite(x) -> np.ndarray:
@@ -111,8 +122,7 @@ def hard_ternary(x, alpha: float):
     in float32 against the smallest float32 >= alpha, which no float32 falls
     between.
     """
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
-        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
+    _check_alpha(alpha)
     arr = _as_finite(x)
     bound = _threshold(arr.dtype, alpha)
     out = np.asarray(arr >= bound).view(np.int8) - np.asarray(arr <= -bound).view(np.int8)
@@ -138,6 +148,5 @@ def _threshold(dtype, alpha: float):
 
 def schedule_k(epoch: int, sched: ContinuationSchedule) -> int:
     """Exponent in force at a given epoch: k_start + 2*floor(epoch/stride), clamped at k_end."""
-    if not isinstance(epoch, int) or epoch < 0 or epoch >= sched.total_epochs:
-        raise ValueError(f"epoch must be in [0, {sched.total_epochs}), got {epoch!r}")
+    epoch = _int_in("epoch", epoch, 0, sched.total_epochs)
     return min(sched.k_end, sched.k_start + 2 * (epoch // sched.stride_epochs))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import read_header, read_payload, write_payload
-from .activation import hard_ternary
+from .activation import _int_in, hard_ternary
 
 _TRIT_BITS = {1: "10", 0: "00", -1: "01"}
 
@@ -54,9 +54,7 @@ class TernaryCode:
 def _checked_planes(planes, d: int, lead: int) -> np.ndarray:
     """planes as a checked C-contiguous uint64 array: (2, words) for one code (lead 0), (n, 2, words) for n (lead 1)."""
     planes = np.ascontiguousarray(planes, dtype=np.uint64)
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d!r}")
-    shape = (*planes.shape[:lead], 2, _words(d))
+    shape = (*planes.shape[:lead], 2, _words(_int_in("d", d, 1)))
     if planes.shape != shape:
         raise ValueError(f"expected planes of shape {shape} for d={d}, got {planes.shape}")
     if (planes[..., 0, :] & planes[..., 1, :]).any():

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .._fileio import read_text
+from ..activation import _int_in
 
 # the synthetic generator's keys, named as gen_synthetic's parameters; its seed comes from `seeds`
 GENERATOR_KEYS = ("classes", "per_class", "input_dim", "spread", "query_fraction", "train_fraction")
@@ -47,11 +48,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not self.seeds or any(not isinstance(s, int) or not 0 <= s < 2**64 for s in self.seeds):
-            raise ValueError(f"seeds must be integers in [0, 2**64), got {self.seeds!r}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(_int_in(f"seeds[{i}]", s, 0, 2**64) for i, s in enumerate(self.seeds)))
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be non-empty and distinct, got {self.seeds!r}")
         if self.data_prefix is not None:
             prefix = self.data_prefix
             if not isinstance(prefix, str) or "#" in prefix or prefix != prefix.strip() or len(prefix.splitlines()) > 1:

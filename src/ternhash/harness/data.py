@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._fileio import read_header, read_payload, read_text, write_payload
+from ..activation import _int_in
 from ..retrieval import LabelSets, _int64_vector
 
 _FEATURES_MAGIC = b"TFV1"
@@ -113,11 +114,9 @@ def gen_synthetic(
     training subset. Deterministic per seed. A spread whose samples overflow
     float32 raises ValueError.
     """
-    for name, size in (("classes", classes), ("per_class", per_class), ("input_dim", input_dim)):
-        if not 1 <= size <= _MAX_SIZE:
-            raise ValueError(f"{name} must be an integer in [1, {_MAX_SIZE}], got {size!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    classes, per_class, input_dim = (_int_in(name, size, 1, _MAX_SIZE + 1) for name, size in
+                                     (("classes", classes), ("per_class", per_class), ("input_dim", input_dim)))
+    seed = _int_in("seed", seed, 0)
     if not 0 <= spread < np.inf:
         raise ValueError(f"spread must be finite and non-negative, got {spread!r}")
     if not 0 < query_fraction < 1 or not 0 < train_fraction <= 1:

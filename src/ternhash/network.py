@@ -23,6 +23,7 @@ from ._fileio import read_exact, read_header, read_payload, write_payload
 from .activation import (  # smooth_ternary_grad is unused here but stays importable: the benchmark traces it
     ActivationConfig,
     ContinuationSchedule,
+    _int_in,
     _smooth_backward,
     _smooth_forward,
     _threshold,
@@ -53,14 +54,13 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         # the bounds are the widths of save_checkpoint's header fields: u64 seed, every other integer u32
-        if any(not isinstance(v, int) or not 1 <= v < 2**32 for v in self.layer_dims):
-            raise ValueError(f"all layer dims must be integers in [1, 2**32), got {self.layer_dims}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.activation.k >= 2**32:
-            raise ValueError(f"activation k must be below 2**32, got {self.activation.k!r}")
+        hidden = tuple(_int_in(f"hidden_dims[{i}]", v, 1, 2**32) for i, v in enumerate(self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", hidden)
+        for name in ("input_dim", "code_dim", "num_classes"):
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, 2**32))
+        object.__setattr__(self, "seed", _int_in("seed", self.seed, 0, 2**64))
+        _int_in("activation k", self.activation.k, 3, 2**32)
 
     @property
     def layer_dims(self) -> tuple:
@@ -255,10 +255,8 @@ class TrainConfig:
     schedule: ContinuationSchedule = ContinuationSchedule()
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        for name in ("epochs", "batch_size"):
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1))
         if not math.isfinite(self.lr0) or self.lr0 < 0:
             raise ValueError(f"lr0 must be a non-negative real, got {self.lr0!r}")
         if not 0 <= self.momentum < 1:
@@ -288,8 +286,7 @@ class EpochLog:
 
 def cosine_lr(epoch: int, train_cfg: TrainConfig) -> float:
     """lr0 * 0.5 * (1 + cos(pi * epoch / epochs))."""
-    if not isinstance(epoch, int) or epoch < 0 or epoch >= train_cfg.epochs:
-        raise ValueError(f"epoch must be in [0, {train_cfg.epochs}), got {epoch!r}")
+    epoch = _int_in("epoch", epoch, 0, train_cfg.epochs)
     return train_cfg.lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / train_cfg.epochs))
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .activation import _int_in
 from .codes import CodeMatrix, PackedCode, _scan_rows
 
 
@@ -150,11 +151,7 @@ class RetrievalIndex:
 
 
 def _resolve_k(k, n: int) -> int:
-    if k == "all":
-        return n
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 1 <= k <= n:
-        raise ValueError(f'k must be "all" or an integer in [1, {n}], got {k!r}')
-    return int(k)
+    return n if k == "all" else _int_in('k other than "all"', k, 1, n + 1)
 
 
 def _check_length(index: RetrievalIndex, d: int) -> None:

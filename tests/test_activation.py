@@ -32,6 +32,19 @@ def test_config_validation():
         ActivationConfig(0.5, 4)
     with pytest.raises(ValueError):
         ActivationConfig(0.5, 1)
+    # a bool is neither a real alpha nor an integer k; a numpy integer k is stored as an int
+    for alpha in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be a positive finite real, got {alpha!r}")):
+            ActivationConfig(alpha, 3)
+    for k, message in ((True, "k must be an integer in [3, inf), got True"),
+                       (np.bool_(True), "k must be an integer in [3, inf), got np.True_"),
+                       (5.0, "k must be an integer in [3, inf), got 5.0"),
+                       (np.int64(4), "k must be odd, got 4")):
+        with pytest.raises(ValueError) as exc:
+            ActivationConfig(0.5, k)
+        assert str(exc.value) == message
+    cfg = ActivationConfig(0.5, np.int64(5))
+    assert type(cfg.k) is int and repr(cfg) == repr(ActivationConfig(0.5, 5))
 
 
 def test_config_rejects_an_alpha_that_float32_rounds_to_zero():
@@ -129,10 +142,9 @@ def test_hard_ternary_boundaries():
     out = hard_ternary(np.array([-0.8, -0.5, -0.1, 0.0, 0.5, 2.0]), 0.5)
     assert out.dtype == np.int8
     assert out.tolist() == [-1, -1, 0, 0, 1, 1]
-    with pytest.raises(ValueError):
-        hard_ternary(0.3, 0.0)
-    with pytest.raises(ValueError):
-        hard_ternary(0.3, math.nan)
+    for alpha in (0.0, math.nan, True):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be a positive finite real, got {alpha!r}")):
+            hard_ternary(0.7, alpha)
 
 
 def test_hard_ternary_holds_float32_input_against_alpha_itself():
@@ -295,15 +307,27 @@ def test_schedule_validation():
     most = 2**32 - 1
     assert ContinuationSchedule(k_start=most, k_end=most, stride_epochs=most, total_epochs=most).k_end == most
     for name, width, message in (
-        ("k_start", 2**32 + 1, "k_start must be an odd integer in [3, 2**32), got 4294967297"),
-        ("k_end", 2**32 + 1, "k_end must be an odd integer in [3, 2**32), got 4294967297"),
+        ("k_start", 2**32 + 1, "k_start must be an integer in [3, 2**32), got 4294967297"),
+        ("k_end", 2**32 + 1, "k_end must be an integer in [3, 2**32), got 4294967297"),
         ("stride_epochs", 2**32, "stride_epochs must be an integer in [1, 2**32), got 4294967296"),
         ("total_epochs", 2**32, "total_epochs must be an integer in [1, 2**32), got 4294967296"),
+        # an even k, and a bool, a numpy bool or an integral float in any field
+        ("k_end", 12, "k_end must be odd, got 12"),
+        ("k_start", True, "k_start must be an integer in [3, 2**32), got True"),
+        ("k_end", np.bool_(True), "k_end must be an integer in [3, 2**32), got np.True_"),
+        ("stride_epochs", True, "stride_epochs must be an integer in [1, 2**32), got True"),
+        ("total_epochs", 150.0, "total_epochs must be an integer in [1, 2**32), got 150.0"),
     ):
         with pytest.raises(ValueError) as exc:
             ContinuationSchedule(**{name: width})
         assert str(exc.value) == message
+    with pytest.raises(ValueError, match=re.escape("stride_epochs must be an integer in [1, 2**32), got True")):
+        ContinuationSchedule(stride_epochs=True, total_epochs=True)
+    # numpy integers are stored as ints, so the schedule reads and prints as the int one does
+    numpy_sched = ContinuationSchedule(np.int64(3), np.int32(11), np.uint8(30), np.int64(150))
+    assert repr(numpy_sched) == repr(ContinuationSchedule()) and type(numpy_sched.total_epochs) is int
     sched = ContinuationSchedule()
-    for epoch in (-1, 150, 1000):
-        with pytest.raises(ValueError):
+    assert schedule_k(np.int64(30), sched) == 5 and type(schedule_k(np.uint16(30), numpy_sched)) is int
+    for epoch in (-1, 150, 1000, True, np.bool_(False), 30.0):
+        with pytest.raises(ValueError, match=re.escape(f"epoch must be an integer in [0, 150), got {epoch!r}")):
             schedule_k(epoch, sched)

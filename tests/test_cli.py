@@ -1,4 +1,5 @@
 import dataclasses
+import signal
 import warnings
 from pathlib import Path
 
@@ -127,7 +128,7 @@ def test_compare_rejects_eval_k_past_the_retrieval_split_before_training(tmp_pat
     code, out, err = run(capsys, "compare", "--config", str(cfg_path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith('error: k must be "all" or an integer in [1, ')
+    assert err.startswith('error: k other than "all" must be an integer in [1, ')
     assert trained == []
 
 
@@ -142,7 +143,7 @@ def test_eval_k_zero_is_one_line_error_before_training(tmp_path, capsys, monkeyp
     argv = ["--config", str(cfg_path)] + (["--out", str(tmp_path / "m.tnh")] if command == "train" else [])
     code, out, err = run(capsys, command, *argv)
     assert (code, out) == (1, "")
-    assert err == 'error: k must be "all" or an integer in [1, 81], got 0\n'  # 3 classes x 27 retrieval rows
+    assert err == 'error: k other than "all" must be an integer in [1, 82), got 0\n'  # 3 classes x 27 retrieval rows
     assert trained == [] and not (tmp_path / "m.tnh").exists()
 
 
@@ -328,16 +329,17 @@ def test_diverging_train_is_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, key, value, flags, message",
     [
-        ("train", "seeds", str(2**64), [], "error: seeds must be integers in [0, 2**64), got (18446744073709551616,)"),
+        ("train", "seeds", str(2**64), [],
+         "error: seeds[0] must be an integer in [0, 2**64), got 18446744073709551616"),
         ("train", "seeds", "1", ["--seed", str(2**64)],
          "error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
         ("train", "code_dim", str(2**32), [],
-         "error: all layer dims must be integers in [1, 2**32), got (8, 16, 4294967296, 3)"),
+         "error: code_dim must be an integer in [1, 2**32), got 4294967296"),
         # fits the header's u32, but its parameters cannot be allocated (about 450 GiB)
         ("train", "hidden_dims", "4000000000", [], "error: Unable to allocate"),
         # a seed that fails after the first has trained would waste that run
         ("compare", "seeds", f"1,{2**64}", [],
-         "error: seeds must be integers in [0, 2**64), got (1, 18446744073709551616)"),
+         "error: seeds[1] must be an integer in [0, 2**64), got 18446744073709551616"),
     ],
     ids=["seed", "seed-flag", "code_dim", "hidden_dims", "compare-seed"],
 )
@@ -458,6 +460,9 @@ CONTRACT_CONFIG = dict(classes=3, per_class=20, input_dim=4, hidden_dims=(8,), c
                        stride_epochs=1, epochs=2, batch_size=16, seeds=(1,))
 # None drops the key; 1e-320 is subnormal in float64 and 0 in float32
 CONTRACT_VALUES = (None, "0", "-1", "1e300", "nan", "inf", str(2**64), "1e-320")
+# wall-time bound per contract case, so a run that no bound keeps finite fails instead of hanging the session;
+# the slowest case takes well under a second
+CONTRACT_SECONDS = 5.0
 
 
 def contract_break(capsys, *argv):
@@ -465,14 +470,24 @@ def contract_break(capsys, *argv):
 
     The contract: exit 0 and a silent stderr, or exit 1 and one `error:` line,
     or argparse's exit 2 for a flag value that does not parse; never a
-    warning. Any other exception propagates, so a traceback fails the test.
+    warning. Any other exception propagates, so a traceback fails the test,
+    and so does a run longer than CONTRACT_SECONDS.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            code, _, err = run(capsys, *argv)
-        except SystemExit as exc:
-            code, err = exc.code, capsys.readouterr().err
+    def overrun(signum, frame):  # pytest.fail raises past main()'s except clause, which would catch a TimeoutError
+        pytest.fail(f"{argv} ran past {CONTRACT_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, CONTRACT_SECONDS)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code, _, err = run(capsys, *argv)
+            except SystemExit as exc:
+                code, err = exc.code, capsys.readouterr().err
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     ok = (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)
     ok = ok or (code == 2 and ": invalid " in err.splitlines()[-1])
     return None if ok and not caught else (argv, code, err, [str(w.message) for w in caught])

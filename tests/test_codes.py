@@ -1,4 +1,5 @@
 import itertools
+import re
 import struct
 import tracemalloc
 
@@ -51,8 +52,9 @@ def test_packed_code_invariants():
         PackedCode(planes=planes([1], [1]), d=4)
     with pytest.raises(ValueError):
         PackedCode(planes=planes([1 << 10], [0]), d=4)
-    with pytest.raises(ValueError):
-        PackedCode(planes=planes([1], [0]), d=0)
+    for d in (0, True, 4.0):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer in [1, inf), got {d!r}")):
+            PackedCode(planes=planes([1], [0]), d=d)
     with pytest.raises(ValueError):
         PackedCode(planes=np.array([1], dtype=np.uint64), d=4)  # one plane, not two
     assert PackedCode(planes=planes([1], [0]), d=4).pos.tolist() == [1]
@@ -272,8 +274,9 @@ def test_code_matrix_invariants():
         CodeMatrix(planes=planes(zero[0], zero[0]), d=4)  # not [n x 2 x words]
     with pytest.raises(ValueError):
         CodeMatrix(planes=np.zeros((1, 3, 1), np.uint64), d=4)  # three planes
-    with pytest.raises(ValueError):
-        CodeMatrix(planes=planes(zero, zero), d=0)
+    for d in (0, np.bool_(True)):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer in [1, inf), got {d!r}")):
+            CodeMatrix(planes=planes(zero, zero), d=d)
     assert len(CodeMatrix(planes=planes(zero, zero), d=64)) == 1
 
 

@@ -3,6 +3,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -176,14 +177,22 @@ def test_parse_errors():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(seeds=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(seeds=(1, 1))
-    for seeds in ((-1,), (1, 2**64)):
-        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers in [0, 2**64), got {seeds}")):
+    for seeds in ((), (1, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be non-empty and distinct, got {seeds}")):
             ExperimentConfig(seeds=seeds)
+    for seeds, message in (((-1,), "seeds[0] must be an integer in [0, 2**64), got -1"),
+                           ((1, 2**64), "seeds[1] must be an integer in [0, 2**64), got 18446744073709551616"),
+                           ((True,), "seeds[0] must be an integer in [0, 2**64), got True"),
+                           ((1, np.bool_(False)), "seeds[1] must be an integer in [0, 2**64), got np.False_"),
+                           ((1.0,), "seeds[0] must be an integer in [0, 2**64), got 1.0")):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(seeds=seeds)
+        assert str(exc.value) == message
     assert ExperimentConfig(seeds=(0, 2**64 - 1)).seeds == (0, 2**64 - 1)
+    # a numpy seed is stored as an int, so the config compares, prints and serializes as the int one does
+    numpy_cfg, int_cfg = ExperimentConfig(seeds=(np.int64(1),)), ExperimentConfig(seeds=(1,))
+    assert numpy_cfg == int_cfg and repr(numpy_cfg) == repr(int_cfg)
+    assert serialize_config(numpy_cfg) == serialize_config(int_cfg)
     # parse_config cuts each line at "#", strips it and splits the text at line breaks, and reads a str:
     # none of these would read back
     for prefix in ("runs/a#b", " runs/x ", "runs/x\n", "a\rb", "a\u2028b", Path("runs/x")):

@@ -255,6 +255,21 @@ def test_gen_synthetic_validation():
         gen_synthetic(3, 10, 4, 0.3, 1, train_fraction=1.5)
     with pytest.raises(ValueError):
         gen_synthetic(3, 2, 4, 0.3, 1)  # too few items per class to split
+    # a bool or a float size or seed is refused by a ValueError that names it
+    for sizes, seed, message in (((3, 10, 4), True, "seed must be an integer in [0, inf), got True"),
+                                 ((3, 10, 4), 1.5, "seed must be an integer in [0, inf), got 1.5"),
+                                 ((3, 10, 4), -1, "seed must be an integer in [0, inf), got -1"),
+                                 ((2.5, 10, 4), 1, "classes must be an integer in [1, 2**63), got 2.5"),
+                                 ((True, 10, 4), 1, "classes must be an integer in [1, 2**63), got True"),
+                                 ((3, np.bool_(True), 4), 1,
+                                  "per_class must be an integer in [1, 2**63), got np.True_"),
+                                 ((3, 10, True), 1, "input_dim must be an integer in [1, 2**63), got True"),
+                                 ((3, 10, 2**63), 1,
+                                  "input_dim must be an integer in [1, 2**63), got 9223372036854775808")):
+        with pytest.raises(ValueError) as exc:
+            gen_synthetic(*sizes, 0.3, seed)
+        assert str(exc.value) == message
+    assert gen_synthetic(np.int64(3), np.int32(10), np.uint8(4), 0.3, np.int64(1)) == gen_synthetic(3, 10, 4, 0.3, 1)
 
 
 @pytest.mark.parametrize("spread", [float("nan"), float("inf"), float("-inf"), -0.1])

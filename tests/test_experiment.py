@@ -168,7 +168,7 @@ def test_seed_setup_rejects_a_bad_eval_k_before_any_epoch(monkeypatch, eval_k):
     for call in (seed_setup, run_seed):
         with pytest.raises(ValueError) as exc:
             call(cfg, 1)
-        assert str(exc.value) == f'k must be "all" or an integer in [1, {n}], got {eval_k!r}'
+        assert str(exc.value) == f'k other than "all" must be an integer in [1, {n + 1}), got {eval_k!r}'
     with pytest.raises(ValueError):
         run_experiment(cfg)
     assert trained == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -60,6 +61,23 @@ def test_config_validation():
     cfg = NetworkConfig(input_dim=4, hidden_dims=[8, 6], code_dim=2, num_classes=5)
     assert cfg.layer_dims == (4, 8, 6, 2, 5)
     assert isinstance(cfg.hidden_dims, tuple)
+    # a bool or a float is not an integer field; numpy integers are stored as ints
+    for fields, message in (
+        (dict(input_dim=True, seed=False), "input_dim must be an integer in [1, 2**32), got True"),
+        (dict(input_dim=4, hidden_dims=(8, np.bool_(True))),
+         "hidden_dims[1] must be an integer in [1, 2**32), got np.True_"),
+        (dict(input_dim=4, code_dim=2.0), "code_dim must be an integer in [1, 2**32), got 2.0"),
+        (dict(input_dim=4, num_classes=False), "num_classes must be an integer in [1, 2**32), got False"),
+        (dict(input_dim=4, seed=True), "seed must be an integer in [0, 2**64), got True"),
+        (dict(input_dim=4, seed=1.0), "seed must be an integer in [0, 2**64), got 1.0"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            NetworkConfig(**fields)
+        assert str(exc.value) == message
+    numpy_cfg = NetworkConfig(input_dim=np.int64(4), hidden_dims=(np.int32(8), np.uint16(6)), code_dim=np.int8(2),
+                              num_classes=np.int64(5), seed=np.uint64(2**64 - 1))
+    assert repr(numpy_cfg) == repr(dataclasses.replace(cfg, seed=2**64 - 1))
+    assert all(type(v) is int for v in (*numpy_cfg.layer_dims, numpy_cfg.seed))
 
 
 def test_initialize_shapes_and_determinism():
@@ -245,6 +263,18 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=200, schedule=ContinuationSchedule(total_epochs=150))
     TrainConfig(lr0=0.0)  # zero learning rate is a legitimate no-op run
+    one_epoch = ContinuationSchedule(total_epochs=1)
+    for fields, message in (
+        (dict(epochs=True, batch_size=True, schedule=one_epoch), "epochs must be an integer in [1, inf), got True"),
+        (dict(batch_size=np.bool_(True)), "batch_size must be an integer in [1, inf), got np.True_"),
+        (dict(epochs=150.0), "epochs must be an integer in [1, inf), got 150.0"),
+        (dict(batch_size=0), "batch_size must be an integer in [1, inf), got 0"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(**fields)
+        assert str(exc.value) == message
+    numpy_cfg = TrainConfig(epochs=np.int64(150), batch_size=np.int32(64))
+    assert repr(numpy_cfg) == repr(TrainConfig()) and type(numpy_cfg.epochs) is type(numpy_cfg.batch_size) is int
 
 
 def test_cosine_lr():
@@ -252,10 +282,10 @@ def test_cosine_lr():
     assert cosine_lr(0, cfg) == 1e-3
     assert cosine_lr(75, cfg) == pytest.approx(5e-4, rel=1e-12)
     assert cosine_lr(149, cfg) == pytest.approx(1.0965826257725769e-07, rel=1e-12)
-    with pytest.raises(ValueError):
-        cosine_lr(-1, cfg)
-    with pytest.raises(ValueError):
-        cosine_lr(150, cfg)
+    assert cosine_lr(np.int64(75), cfg) == cosine_lr(75, cfg)
+    for epoch in (-1, 150, True, 75.0):
+        with pytest.raises(ValueError, match=re.escape(f"epoch must be an integer in [0, 150), got {epoch!r}")):
+            cosine_lr(epoch, cfg)
 
 
 def test_sgd_plain_step():
@@ -808,16 +838,16 @@ def test_load_checkpoint_returns_the_parameters_it_returned_before(tmp_path):
 
 def test_every_network_config_that_constructs_fits_a_checkpoint(tmp_path):
     # each field's width minus one constructs, and the width is refused
-    dims = "all layer dims must be integers in [1, 2**32), got"
+    dims = "must be an integer in [1, 2**32), got 4294967296"
     for key, fits, too_wide, message in (
         ("seed", 2**64 - 1, 2**64, "seed must be an integer in [0, 2**64), got 18446744073709551616"),
-        ("input_dim", 2**32 - 1, 2**32, f"{dims} (4294967296, 5, 4, 3)"),
-        ("hidden_dims", (5, 2**32 - 1), (5, 2**32), f"{dims} (3, 5, 4294967296, 4, 3)"),
-        ("code_dim", 2**32 - 1, 2**32, f"{dims} (3, 5, 4294967296, 3)"),
-        ("num_classes", 2**32 - 1, 2**32, f"{dims} (3, 5, 4, 4294967296)"),
+        ("input_dim", 2**32 - 1, 2**32, f"input_dim {dims}"),
+        ("hidden_dims", (5, 2**32 - 1), (5, 2**32), f"hidden_dims[1] {dims}"),
+        ("code_dim", 2**32 - 1, 2**32, f"code_dim {dims}"),
+        ("num_classes", 2**32 - 1, 2**32, f"num_classes {dims}"),
         # k is odd, so the first k past the width is 2**32 + 1
         ("activation", ActivationConfig(k=2**32 - 1), ActivationConfig(k=2**32 + 1),
-         "activation k must be below 2**32, got 4294967297"),
+         "activation k must be an integer in [3, 2**32), got 4294967297"),
     ):
         assert getattr(dataclasses.replace(SMALL, **{key: fits}), key) == fits
         with pytest.raises(ValueError) as exc:
