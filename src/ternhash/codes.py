@@ -45,11 +45,6 @@ class TernaryCode:
             raise ValueError("trits must take values in {-1, 0, +1}")
         object.__setattr__(self, "trits", arr.astype(np.int8))
 
-    def __eq__(self, other):
-        if not isinstance(other, TernaryCode):
-            return NotImplemented
-        return np.array_equal(self.trits, other.trits)
-
 
 def _checked_planes(planes, d: int, lead: int) -> np.ndarray:
     """planes as a checked C-contiguous uint64 array: (2, words) for one code (lead 0), (n, 2, words) for n (lead 1)."""

@@ -8,6 +8,7 @@ reproduces cfg exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .._fileio import read_text
@@ -15,11 +16,17 @@ from ..activation import _int_in
 
 # the synthetic generator's keys, named as gen_synthetic's parameters; its seed comes from `seeds`
 GENERATOR_KEYS = ("classes", "per_class", "input_dim", "spread", "query_fraction", "train_fraction")
+# [lo, hi) of each integer field but hidden_dims and seeds: the bounds of gen_synthetic, NetworkConfig,
+# ContinuationSchedule (epochs is its total_epochs) and TrainConfig, the callees seed_setup passes them to
+_INT_BOUNDS = {"classes": (1, 2**63), "per_class": (1, 2**63), "input_dim": (1, 2**63), "code_dim": (1, 2**32),
+               "k_start": (3, 2**32), "k_end": (3, 2**32), "stride_epochs": (1, 2**32), "epochs": (1, 2**32),
+               "batch_size": (1, math.inf)}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Construction checks only seeds and data_prefix; seed_setup checks the rest (eval_k by _resolve_k)."""
+    """Construction checks each integer field, stored as an int, and data_prefix; seed_setup checks the rest:
+    the reals, k's parity and order, and eval_k against the retrieval split."""
     # dataset: file mode (data_prefix) or synthetic generator
     data_prefix: str | None = None
     classes: int = 10
@@ -47,7 +54,10 @@ class ExperimentConfig:
     seeds: tuple = (1, 2, 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for name, (lo, hi) in _INT_BOUNDS.items():
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), lo, hi))
+        hidden = tuple(_int_in(f"hidden_dims[{i}]", v, 1, 2**32) for i, v in enumerate(self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", hidden)
         object.__setattr__(self, "seeds", tuple(_int_in(f"seeds[{i}]", s, 0, 2**64) for i, s in enumerate(self.seeds)))
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be non-empty and distinct, got {self.seeds!r}")

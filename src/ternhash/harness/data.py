@@ -59,13 +59,6 @@ class Dataset:
         for name, arr in ids.items():
             object.__setattr__(self, name, arr)
 
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        arrays = ("features", "train_ids", "retrieval_ids", "query_ids")
-        return self.labels == other.labels and all(
-            np.array_equal(getattr(self, a), getattr(other, a), equal_nan=True) for a in arrays)
-
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]

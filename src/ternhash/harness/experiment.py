@@ -72,14 +72,7 @@ def seed_setup(cfg: ExperimentConfig, seed: int) -> tuple:
     else:
         dataset = gen_synthetic(seed=seed, **{key: getattr(cfg, key) for key in GENERATOR_KEYS})
     _resolve_k(cfg.eval_k, len(dataset.retrieval_ids))
-    net_cfg = NetworkConfig(
-        input_dim=dataset.input_dim,
-        hidden_dims=cfg.hidden_dims,
-        code_dim=cfg.code_dim,
-        num_classes=dataset.num_classes,
-        activation=ActivationConfig(alpha=cfg.alpha, k=cfg.k_start),
-        seed=seed,
-    )
+    # the schedule first, so an even k_start is refused under its own name, not as the activation's k
     train_cfg = TrainConfig(
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
@@ -89,6 +82,14 @@ def seed_setup(cfg: ExperimentConfig, seed: int) -> tuple:
         schedule=ContinuationSchedule(
             k_start=cfg.k_start, k_end=cfg.k_end, stride_epochs=cfg.stride_epochs, total_epochs=cfg.epochs
         ),
+    )
+    net_cfg = NetworkConfig(
+        input_dim=dataset.input_dim,
+        hidden_dims=cfg.hidden_dims,
+        code_dim=cfg.code_dim,
+        num_classes=dataset.num_classes,
+        activation=ActivationConfig(alpha=cfg.alpha, k=cfg.k_start),
+        seed=seed,
     )
     return dataset, net_cfg, train_cfg
 

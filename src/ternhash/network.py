@@ -6,13 +6,17 @@ smoothed ternary activation -> linear classifier. Cross-entropy is applied to
 the classifier output; the sharpness exponent k steps up between epochs.
 
 Every computation runs in the dtype of the network's parameters (float32 or
-float64) on the CPU and is bit-deterministic for a fixed seed. Network.initialize
+float64) on the CPU and is bit-deterministic for a fixed seed; train() and the
+inference forward run numpy's bundled OpenBLAS on one thread, so their bytes do
+not depend on the thread count either. Network.initialize
 gives float64 parameters; train() and load_checkpoint give float32, the dtype
 checkpoints store, so a trained net saves and loads without rounding.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import struct
 from dataclasses import dataclass, field
@@ -68,7 +72,7 @@ class NetworkConfig:
         return (self.input_dim, *self.hidden_dims, self.code_dim, self.num_classes)
 
 
-@dataclass
+@dataclass(eq=False)
 class Network:
     """All parameters in one 1-D float32 or float64 vector; weights and biases are views of it."""
 
@@ -269,7 +273,7 @@ class TrainConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainState:
     """The momentum buffers sgd_momentum_step updates, one per parameter, listed like params()."""
 
@@ -311,6 +315,36 @@ def sgd_momentum_step(net: Network, state: TrainState, grads: list, lr: float, m
     p -= np.multiply(v, lr, out=step)
 
 
+# (get, set) for the thread count of numpy's bundled OpenBLAS, or None under any other BLAS. numpy's wheels link
+# scipy-openblas into this extension, already loaded, and a symbol lookup on it searches what it links.
+try:
+    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _BLAS_THREADS = (_blas.scipy_openblas_get_num_threads64_, _blas.scipy_openblas_set_num_threads64_)
+except (AttributeError, OSError):
+    _BLAS_THREADS = None
+else:
+    _BLAS_THREADS[0].argtypes, _BLAS_THREADS[0].restype = [], ctypes.c_int
+    _BLAS_THREADS[1].argtypes, _BLAS_THREADS[1].restype = [ctypes.c_int], None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count, on an exception too.
+
+    A second thread splits a GEMM differently, which can change the last bits of wide layers' outputs, so
+    train() and the inference forward pin one thread to give the same bytes at any thread count. The small
+    training GEMMs also run faster on one. Never raises the count; does nothing under another BLAS.
+    """
+    before = _BLAS_THREADS[0]() if _BLAS_THREADS else 1
+    if before > 1:
+        _BLAS_THREADS[1](1)
+    try:
+        yield
+    finally:
+        if before > 1:
+            _BLAS_THREADS[1](before)
+
+
 def _row_blocks(n: int):
     """[start, stop) bounds of n // _ROW_BLOCK near-equal blocks; fewer than 2R rows make one block."""
     count = max(1, n // _ROW_BLOCK)
@@ -327,9 +361,9 @@ def _inference(net: Network, features, shape: tuple, dtype, fill) -> np.ndarray:
     """
     arr = _check_batch(features, net.config.input_dim, net.dtype, finite=False)
     out = np.empty((arr.shape[0], *shape), dtype=dtype)
-    for start, stop in _row_blocks(arr.shape[0]):
-        h = _check_batch(arr[start:stop], net.config.input_dim, net.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in _row_blocks(arr.shape[0]):
+            h = _check_batch(arr[start:stop], net.config.input_dim, net.dtype)
             for i in range(len(net.config.hidden_dims) + 1):
                 h = _layer(net, i, h)
             if not np.isfinite(h).all():  # the per-row search runs only on failure
@@ -381,8 +415,8 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     drives the per-epoch reshuffle. The last short batch of an epoch is kept.
     Training computes in float32: the initial parameters and the features are
     cast once, and the returned network is float32, as checkpoints store it.
-    Overflow and NaN warnings are off, epoch hooks included; a non-finite epoch loss, or non-finite parameters
-    at an epoch's end, raise FloatingPointError before the hook runs.
+    Overflow and NaN warnings are off and BLAS runs one thread, epoch hooks included; a non-finite epoch loss,
+    or non-finite parameters at an epoch's end, raise FloatingPointError before the hook runs.
     """
     feats = _check_batch(features, net_cfg.input_dim, np.float32)
     labs = _check_labels(labels, feats.shape[0], net_cfg.num_classes)
@@ -394,7 +428,7 @@ def train(net_cfg: NetworkConfig, train_cfg: TrainConfig, features, labels, *, t
     grad_w, grad_b = _layer_views(net_cfg.layer_dims, grad)
     n = feats.shape[0]
     logs = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         for epoch in range(train_cfg.epochs):
             k = schedule_k(epoch, train_cfg.schedule) if ternary else None
             lr = cosine_lr(epoch, train_cfg)

@@ -32,8 +32,7 @@ class LabelSets(Sequence):
 
     Construction sorts each row and drops its repeats, so rows are ascending
     and distinct. A read-only sequence of frozenset: an int index gives one
-    set, a slice or an integer index array gives a LabelSets, and it equals
-    any sequence of sets with the same rows.
+    set, and a slice or an integer index array gives a LabelSets.
     """
 
     indptr: np.ndarray
@@ -96,15 +95,8 @@ class LabelSets(Sequence):
         ids, bounds = self.ids.tolist(), self.indptr.tolist()
         return (frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    def __eq__(self, other):
-        if not isinstance(other, LabelSets):
-            if not isinstance(other, Sequence) or not all(isinstance(ls, (set, frozenset)) for ls in other):
-                return NotImplemented
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.ids, other.ids)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RetrievalIndex:
     """Immutable database of packed codes plus per-item label sets.
 
@@ -116,8 +108,8 @@ class RetrievalIndex:
 
     codes: CodeMatrix
     labels: LabelSets
-    _postings: tuple = field(init=False, repr=False, compare=False)
-    _scan: np.ndarray = field(init=False, repr=False, compare=False)
+    _postings: tuple = field(init=False, repr=False)
+    _scan: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not len(self.codes):

@@ -340,8 +340,11 @@ def test_diverging_train_is_one_line_error(tmp_path, capsys):
         # a seed that fails after the first has trained would waste that run
         ("compare", "seeds", f"1,{2**64}", [],
          "error: seeds[1] must be an integer in [0, 2**64), got 18446744073709551616"),
+        # the message names the key the config file wrote, not the callee's field
+        ("compare", "epochs", "0", [], "error: epochs must be an integer in [1, 2**32), got 0"),
+        ("compare", "k_start", "4", [], "error: k_start must be odd, got 4"),
     ],
-    ids=["seed", "seed-flag", "code_dim", "hidden_dims", "compare-seed"],
+    ids=["seed", "seed-flag", "code_dim", "hidden_dims", "compare-seed", "compare-epochs", "compare-k_start"],
 )
 def test_train_that_cannot_be_saved_or_allocated_fails_before_any_epoch(
     tmp_path, capsys, monkeypatch, command, key, value, flags, message

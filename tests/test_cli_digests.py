@@ -7,10 +7,12 @@ files and on a multi-label copy of them. 900 retrieval rows is not a multiple
 of 256, and d70 takes two plane words with a 6-bit tail: the block split and
 the packing tail are where bytes have moved before.
 
-The chain runs in one child process with OPENBLAS_NUM_THREADS=1 set before
-numpy loads: encode bytes depend on the BLAS thread count (hash_features on a
-trained float32 net differs between 1 and 2 OpenBLAS threads), so the digests
-hold at one thread only.
+The chain runs in one child process with OPENBLAS_NUM_THREADS set before numpy
+loads, once at 1 and once at 2, against the same digests: train and the
+inference forward pin numpy's bundled OpenBLAS to one thread, so no output
+depends on the thread count. A 560-wide encode, the shape whose hash features
+differed between 1 and 2 threads before that pin, is compared across the two
+counts as well.
 
 A changed digest is a changed output. To rewrite the pinned digests after a
 declared output change:
@@ -23,7 +25,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ternhash
+from ternhash import ContinuationSchedule, Network, NetworkConfig, save_checkpoint
+from ternhash.harness import save_features
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_chain.sha256"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -69,13 +75,30 @@ for name in outputs:
 '''
 
 
-def chain_digests(workdir) -> str:
-    """The chain's '<sha256> <name>' lines, run in workdir on the ternhash this process imports."""
-    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
+WIDE_ENCODE = r'''
+import hashlib, sys
+from ternhash import hash_features, load_checkpoint
+from ternhash.harness import load_features
+from ternhash.harness.cli import main
+
+if main(["encode", "--checkpoint", "net.tnh", "--features", "x.tfv", "--out", sys.argv[1]]):
+    sys.exit("encode failed")
+print(hashlib.sha256(hash_features(load_checkpoint("net.tnh")[0], load_features("x.tfv")).tobytes()).hexdigest())
+'''
+
+
+def run_child(code: str, workdir, threads: str, *args) -> str:
+    """code's stdout, run in workdir on the ternhash this process imports, with the BLAS thread count set."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, threads),
            "PYTHONPATH": str(Path(ternhash.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", CHAIN], cwd=workdir, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=workdir, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def chain_digests(workdir, threads: str = "1") -> str:
+    """The chain's '<sha256> <name>' lines, run in workdir with threads BLAS threads."""
+    return run_child(CHAIN, workdir, threads)
 
 
 def parse(text: str) -> dict:
@@ -83,10 +106,25 @@ def parse(text: str) -> dict:
 
 
 def test_cli_chain_digests(tmp_path):
-    got, want = parse(chain_digests(tmp_path)), parse(GOLDEN.read_text())
-    assert got.keys() == want.keys()
-    changed = sorted(name for name in want if got[name] != want[name])
-    assert not changed, f"outputs differ from {GOLDEN.name}: {changed}"
+    want = parse(GOLDEN.read_text())
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        got = parse(chain_digests(tmp_path / threads, threads))
+        assert got.keys() == want.keys()
+        changed = sorted(name for name in want if got[name] != want[name])
+        assert not changed, f"outputs at {threads} BLAS threads differ from {GOLDEN.name}: {changed}"
+
+
+def test_wide_encode_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    cfg = NetworkConfig(input_dim=560, hidden_dims=(256, 256), code_dim=32, num_classes=10, seed=1)
+    net = Network(config=cfg, flat=Network.initialize(cfg).flat.astype(np.float32))
+    save_checkpoint(tmp_path / "net.tnh", net, ContinuationSchedule())
+    # 900 rows: not a multiple of the 256-row block
+    save_features(tmp_path / "x.tfv", np.random.default_rng(0).standard_normal((900, 560)).astype(np.float32))
+    # the last line is the hash features' digest; encode prints its output path before it
+    hashes = [run_child(WIDE_ENCODE, tmp_path, threads, f"{threads}.tnc").splitlines()[-1] for threads in ("1", "2")]
+    assert hashes[0] == hashes[1]
+    assert (tmp_path / "1.tnc").read_bytes() == (tmp_path / "2.tnc").read_bytes()
 
 
 if __name__ == "__main__":

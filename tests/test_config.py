@@ -62,7 +62,7 @@ NON_DEFAULT = dict(
     hidden_dims=(64, 32, 16),
     code_dim=8,
     alpha=0.25,
-    k_start=2,
+    k_start=5,
     k_end=9,
     stride_epochs=7,
     epochs=21,
@@ -189,10 +189,30 @@ def test_config_validation():
             ExperimentConfig(seeds=seeds)
         assert str(exc.value) == message
     assert ExperimentConfig(seeds=(0, 2**64 - 1)).seeds == (0, 2**64 - 1)
-    # a numpy seed is stored as an int, so the config compares, prints and serializes as the int one does
-    numpy_cfg, int_cfg = ExperimentConfig(seeds=(np.int64(1),)), ExperimentConfig(seeds=(1,))
+    # every other integer field is held to the range of the callee seed_setup passes it to, under its own name
+    for over, message in (({"classes": True}, "classes must be an integer in [1, 2**63), got True"),
+                          ({"classes": 2.0}, "classes must be an integer in [1, 2**63), got 2.0"),
+                          ({"per_class": 0}, "per_class must be an integer in [1, 2**63), got 0"),
+                          ({"input_dim": 2**63}, "input_dim must be an integer in [1, 2**63), got 9223372036854775808"),
+                          ({"hidden_dims": (4, 0)}, "hidden_dims[1] must be an integer in [1, 2**32), got 0"),
+                          ({"hidden_dims": (np.bool_(True),)},
+                           "hidden_dims[0] must be an integer in [1, 2**32), got np.True_"),
+                          ({"code_dim": 2**32}, "code_dim must be an integer in [1, 2**32), got 4294967296"),
+                          ({"k_start": 1}, "k_start must be an integer in [3, 2**32), got 1"),
+                          ({"k_end": 2**32 + 1}, "k_end must be an integer in [3, 2**32), got 4294967297"),
+                          ({"stride_epochs": False}, "stride_epochs must be an integer in [1, 2**32), got False"),
+                          ({"epochs": 0}, "epochs must be an integer in [1, 2**32), got 0"),
+                          ({"batch_size": 1.5}, "batch_size must be an integer in [1, inf), got 1.5")):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**over)
+        assert str(exc.value) == message
+    # numpy integers are stored as ints, so the config compares, prints and serializes as the int one does
+    numpy_cfg = ExperimentConfig(classes=np.int64(3), per_class=np.uint16(30), hidden_dims=(np.int32(8),),
+                                 code_dim=np.int64(6), k_end=np.int8(5), epochs=np.uint8(4), seeds=(np.int64(1),))
+    int_cfg = ExperimentConfig(classes=3, per_class=30, hidden_dims=(8,), code_dim=6, k_end=5, epochs=4, seeds=(1,))
     assert numpy_cfg == int_cfg and repr(numpy_cfg) == repr(int_cfg)
     assert serialize_config(numpy_cfg) == serialize_config(int_cfg)
+    assert parse_config(serialize_config(numpy_cfg)) == numpy_cfg
     # parse_config cuts each line at "#", strips it and splits the text at line breaks, and reads a str:
     # none of these would read back
     for prefix in ("runs/a#b", " runs/x ", "runs/x\n", "a\rb", "a\u2028b", Path("runs/x")):

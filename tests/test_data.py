@@ -48,7 +48,7 @@ def test_dataset_accessors():
     assert all(isinstance(ls, frozenset) for ls in ds.labels)
     feats, labels = ds.subset(ds.query_ids)
     assert np.array_equal(feats, ds.features[4:])
-    assert labels == [frozenset({0, 1}), frozenset({1})]
+    assert list(labels) == [frozenset({0, 1}), frozenset({1})]
 
 
 def test_dataset_validation():
@@ -95,7 +95,6 @@ def test_dataset_subset_takes_index_arrays_and_lists(ids):
     ds = tiny_dataset()
     feats, labels = ds.subset(ids)
     assert isinstance(labels, LabelSets)
-    assert labels == [TINY_LABELS[i] for i in ids]
     assert list(labels) == [TINY_LABELS[i] for i in ids]
     assert feats.tobytes() == ds.features[ids].tobytes()
 
@@ -107,7 +106,7 @@ def test_dataset_subset_of_a_spread_of_ids():
     for n in (7, 45, 1000):
         ids = ds.retrieval_ids[:: max(1, len(ds.retrieval_ids) // n)][:n]
         feats, labels = ds.subset(ids)
-        assert labels == [old[i] for i in ids]
+        assert list(labels) == [old[i] for i in ids]
         assert feats.tobytes() == ds.features[ids].tobytes()
 
 
@@ -159,14 +158,14 @@ def test_single_labels_does_not_share_the_dataset_labels():
     _, labels = ds.subset(ds.train_ids)
     out = single_labels(labels)
     out[:] = -1
-    assert labels == [frozenset({c}) for c in (np.asarray(ds.train_ids) // 10).tolist()]
+    assert list(labels) == [frozenset({c}) for c in (np.asarray(ds.train_ids) // 10).tolist()]
 
 
 def test_gen_synthetic_determinism():
     a = gen_synthetic(4, 30, 16, 0.2, 9)
     b = gen_synthetic(4, 30, 16, 0.2, 9)
     assert a.features.tobytes() == b.features.tobytes()
-    assert a.labels == b.labels
+    assert list(a.labels) == list(b.labels)
     assert np.array_equal(a.train_ids, b.train_ids)
     assert np.array_equal(a.retrieval_ids, b.retrieval_ids)
     assert np.array_equal(a.query_ids, b.query_ids)
@@ -200,7 +199,7 @@ def test_gen_synthetic_equals_the_per_class_build(shape):
         classes, per_class, input_dim, 0.3, 7, query_fraction, train_fraction
     )
     assert isinstance(ds.labels, LabelSets)
-    assert ds.labels == labels
+    assert list(ds.labels) == labels
     assert ds.features.tobytes() == features.tobytes()
     assert ds.train_ids.tolist() == train_ids
     assert ds.retrieval_ids.tolist() == retrieval_ids
@@ -211,7 +210,7 @@ def test_gen_synthetic_equals_the_per_class_build(shape):
 def test_gen_synthetic_layout_and_splits():
     ds = gen_synthetic(5, 40, 8, 0.3, 2, query_fraction=0.1, train_fraction=0.5)
     assert ds.features.shape == (200, 8)
-    assert ds.labels == [frozenset({c}) for c in range(5) for _ in range(40)]
+    assert list(ds.labels) == [frozenset({c}) for c in range(5) for _ in range(40)]
     assert ds.query_ids.size == 5 * 4
     assert ds.retrieval_ids.size == 5 * 36
     assert ds.train_ids.size == 5 * 18
@@ -269,7 +268,11 @@ def test_gen_synthetic_validation():
         with pytest.raises(ValueError) as exc:
             gen_synthetic(*sizes, 0.3, seed)
         assert str(exc.value) == message
-    assert gen_synthetic(np.int64(3), np.int32(10), np.uint8(4), 0.3, np.int64(1)) == gen_synthetic(3, 10, 4, 0.3, 1)
+    numpy_sized = gen_synthetic(np.int64(3), np.int32(10), np.uint8(4), 0.3, np.int64(1))
+    int_sized = gen_synthetic(3, 10, 4, 0.3, 1)
+    for name in ("features", "train_ids", "retrieval_ids", "query_ids"):
+        assert np.array_equal(getattr(numpy_sized, name), getattr(int_sized, name))
+    assert list(numpy_sized.labels) == list(int_sized.labels)
 
 
 @pytest.mark.parametrize("spread", [float("nan"), float("inf"), float("-inf"), -0.1])
@@ -369,7 +372,7 @@ def test_labels_file_roundtrip(tmp_path):
     path = tmp_path / "x.labels"
     save_labels(path, labels)
     assert path.read_text() == "0,2\n1\n3,4,5\n"
-    assert load_labels(path) == labels
+    assert list(load_labels(path)) == labels
 
 
 def test_save_labels_writes_the_same_bytes_from_label_sets_and_lists(tmp_path):
@@ -444,7 +447,6 @@ def assert_loads_like_reference(path):
         assert str(got.value) == str(exc)
         return None
     loaded = load_labels(path)
-    assert loaded == want
     assert list(loaded) == want
     return loaded
 
@@ -465,7 +467,7 @@ def assert_loads_like_reference(path):
 def test_load_labels_takes_what_the_line_parser_took(tmp_path, text, rows):
     path = tmp_path / "x.labels"
     path.write_bytes(text.encode())
-    assert assert_loads_like_reference(path) == rows
+    assert list(assert_loads_like_reference(path)) == rows
 
 
 @pytest.mark.parametrize(
@@ -562,7 +564,7 @@ def test_labels_file_mutation_loads_like_the_line_parser_or_raises_its_error(tmp
     loaded = assert_loads_like_reference(path)
     if loaded is not None:
         save_labels(tmp_path / "resaved.labels", loaded)
-        assert load_labels(tmp_path / "resaved.labels") == loaded
+        assert list(load_labels(tmp_path / "resaved.labels")) == list(loaded)
 
 
 def test_splits_roundtrip(tmp_path):
@@ -579,7 +581,7 @@ def test_splits_roundtrip(tmp_path):
         f_orig, l_orig = ds.subset(ids_orig)
         f_load, l_load = loaded.subset(ids_load)
         assert f_orig.tobytes() == f_load.tobytes()
-        assert l_orig == l_load
+        assert list(l_orig) == list(l_load)
 
 
 def test_splits_train_row_must_exist(tmp_path):
@@ -621,26 +623,6 @@ def test_splits_row_count_mismatch(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-
-
-def test_dataset_equality_compares_the_arrays():
-    ds = gen_synthetic(3, 10, 4, 0.2, 1)
-    assert ds == gen_synthetic(3, 10, 4, 0.2, 1)
-    assert not ds != gen_synthetic(3, 10, 4, 0.2, 1)
-    assert ds != gen_synthetic(3, 10, 4, 0.2, 2)
-    assert ds != gen_synthetic(3, 10, 4, 0.2, 1, train_fraction=0.3)
-    assert ds != "dataset"
-    assert tiny_dataset() == tiny_dataset()
-    multi = Dataset(
-        features=tiny_dataset().features, labels=[{0}, {0}, {1}, {1}, {0}, {1}],
-        train_ids=[0, 2], retrieval_ids=[0, 1, 2, 3], query_ids=[4, 5],
-    )
-    assert tiny_dataset() != multi
-    features = tiny_dataset().features.copy()
-    features[1, 1] = np.nan
-    with_nan = Dataset(features=features, labels=TINY_LABELS, train_ids=[0, 2], retrieval_ids=[0, 1, 2, 3], query_ids=[4, 5])
-    assert with_nan == with_nan
-    assert with_nan != tiny_dataset()
 
 
 def reference_train_ids(prefix):

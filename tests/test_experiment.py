@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from ternhash import (
+    CodeMatrix,
     LabelSets,
     Network,
     NetworkConfig,
+    PackedCode,
     RetrievalIndex,
+    TernaryCode,
+    TrainState,
     hash_features,
     load_checkpoint,
     mean_ap,
+    pack_matrix,
     quantization_error,
     save_checkpoint,
     train,
@@ -307,6 +312,34 @@ def test_checkpoint_of_a_trained_net_encodes_like_the_net(tmp_path):
         assert q.tobytes() == p.tobytes()
     assert hash_features(loaded, dataset.features).tobytes() == hash_features(net, dataset.features).tobytes()
     assert encode_dataset(loaded, dataset.features) == encode_dataset(net, dataset.features)
+
+
+EQUALITY_CASES = {
+    # type: (a maker of instances from equal inputs, whether it compares by value)
+    "Network": (lambda: Network.initialize(NetworkConfig(input_dim=4, hidden_dims=(3,), code_dim=2, num_classes=2)),
+                False),
+    "TrainState": (lambda: TrainState(velocity=[np.zeros(5)]), False),
+    "RetrievalIndex": (lambda: RetrievalIndex(codes=pack_matrix([[1, 0], [0, -1]]), labels=[{0}, {1, 2}]), False),
+    "Dataset": (lambda: gen_synthetic(3, 10, 4, 0.2, 1), False),
+    "LabelSets": (lambda: LabelSets.of([{0}, {1, 2}]), False),
+    "TernaryCode": (lambda: TernaryCode(np.array([1, 0, -1])), False),
+    "PackedCode": (lambda: PackedCode(planes=[[1], [2]], d=3), True),
+    "CodeMatrix": (lambda: CodeMatrix(planes=[[[1], [2]], [[0], [0]]], d=3), True),
+}
+
+
+@pytest.mark.parametrize("make, by_value", EQUALITY_CASES.values(), ids=EQUALITY_CASES)
+def test_only_the_code_types_compare_by_value(make, by_value):
+    # the acceptance file compares PackedCode and CodeMatrix by value; every other holder of arrays is its identity
+    a, b = make(), make()
+    assert a == a and not a != a
+    if by_value:
+        assert a == b and not a != b
+        with pytest.raises(TypeError, match=f"^unhashable type: '{type(a).__name__}'$"):
+            hash(a)
+    else:
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

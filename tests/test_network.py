@@ -767,6 +767,42 @@ def test_inference_overflow_is_one_error_naming_the_first_bad_row():
         assert caught == []
 
 
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, restored after the test."""
+    threads = network._BLAS_THREADS
+    if threads is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS, the one whose thread count the program sets")
+    before = threads[0]()
+    yield threads
+    threads[1](before)
+
+
+def test_train_runs_one_blas_thread_and_gives_the_same_bytes_at_any_count(blas_threads):
+    get, put = blas_threads
+    feats, labels = small_problem()
+    runs = []
+    for count in (1, 2):
+        put(count)
+        seen = []
+        net, logs = train(DEEP, quick_train_cfg(), feats, labels, epoch_hook=lambda net, e: seen.append(get()))
+        assert seen == [1] * 6 and get() == count
+        runs.append((net.flat.tobytes(), logs))
+    assert runs[0] == runs[1]
+
+
+def test_the_blas_thread_count_is_restored_after_an_error(blas_threads):
+    get, put = blas_threads
+    put(2)
+    feats, labels = small_problem()
+    with pytest.raises(FloatingPointError):
+        train(DEEP, quick_train_cfg(lr0=1e8), feats, labels)
+    assert get() == 2
+    with pytest.raises(ValueError, match="is not finite: its features overflow the network$"):
+        hash_features(with_dtype(Network.initialize(WIDE), np.float32), np.full((3, 64), 3e38, dtype=np.float32))
+    assert get() == 2
+
+
 def forward_quantization_error(net, feats, k):
     """quantization_error as it was computed from the cached training forward."""
     hash_pre, hash_act, _ = forward(net, feats, k)

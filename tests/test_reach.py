@@ -32,7 +32,6 @@ UNREACHED = {
     "activation.py:smooth_ternary_grad": ACCEPTANCE,
     "codes.py:_is_trits": (ACCEPTANCE, "TernaryCode(rng.integers(-1, 2, size=128)"),
     "codes.py:TernaryCode.__post_init__": (ACCEPTANCE, "TernaryCode(rng.integers(-1, 2, size=128)"),
-    "codes.py:TernaryCode.__eq__": (LIBRARY, "`TernaryCode`, like `PackedCode` and `CodeMatrix`, compares by value"),
     "codes.py:_Planes.pos": LIBRARY,
     "codes.py:_Planes.neg": LIBRARY,
     "codes.py:PackedCode.__post_init__": (ACCEPTANCE, "pack(TernaryCode(t))"),
@@ -50,9 +49,7 @@ UNREACHED = {
     "network.py:Network.params": ACCEPTANCE,
     "network.py:hash_features": LIBRARY,
     "retrieval.py:LabelSets.__iter__": (LIBRARY, "behaves as a read-only list of `frozenset`"),
-    "retrieval.py:LabelSets.__eq__": (LIBRARY, "`Dataset`s are equal when their features, label sets"),
     "retrieval.py:query_topk": BENCHMARK,
-    "harness/data.py:Dataset.__eq__": (LIBRARY, "`Dataset`s are equal when their features, label sets"),
     "harness/experiment.py:two_step_baseline": BENCHMARK,
 }
 
