@@ -22,7 +22,6 @@ from .codes import (
     hamming,
     load_codes,
     pack,
-    pack_matrix,
     save_codes,
     ternarize,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "hamming",
     "load_codes",
     "pack",
-    "pack_matrix",
     "save_codes",
     "ternarize",
     "EpochLog",

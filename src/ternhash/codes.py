@@ -27,10 +27,6 @@ _TRIT_BITS = {1: "10", 0: "00", -1: "01"}
 _CODES_MAGIC = b"TNC1"
 
 
-def _is_trits(arr: np.ndarray) -> bool:
-    return bool(((arr == 0) | (arr == 1) | (arr == -1)).all())
-
-
 @dataclass(frozen=True, eq=False)
 class TernaryCode:
     """A vector of trits in {-1, 0, +1}, stored as int8."""
@@ -41,7 +37,7 @@ class TernaryCode:
         arr = np.asarray(self.trits)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trits must be a non-empty 1-d array")
-        if not _is_trits(arr):
+        if not ((arr == 0) | (arr == 1) | (arr == -1)).all():
             raise ValueError("trits must take values in {-1, 0, +1}")
         object.__setattr__(self, "trits", arr.astype(np.int8))
 
@@ -161,16 +157,6 @@ def _pack_planes(values: np.ndarray, bound) -> np.ndarray:
 def pack(code: TernaryCode) -> PackedCode:
     """Split trits into the two bitplanes."""
     return PackedCode(planes=_pack_planes(code.trits[None, :], 1)[0], d=code.trits.size)
-
-
-def pack_matrix(trits) -> CodeMatrix:
-    """Pack an [n, d] trit matrix (one code per row) into a CodeMatrix."""
-    arr = np.asarray(trits)
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValueError(f"trits must be an [n x d] matrix with d >= 1, got shape {arr.shape}")
-    if not _is_trits(arr):
-        raise ValueError("trits must take values in {-1, 0, +1}")
-    return CodeMatrix(planes=_pack_planes(arr, 1), d=arr.shape[1])
 
 
 def encode_binary(code: TernaryCode) -> str:

@@ -8,8 +8,11 @@ reproduces cfg exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .._fileio import read_text
 from ..activation import _int_in
@@ -23,10 +26,20 @@ _INT_BOUNDS = {"classes": (1, 2**63), "per_class": (1, 2**63), "input_dim": (1, 
                "batch_size": (1, math.inf)}
 
 
+def _real(name: str, value) -> float:
+    """value as a float if it is an int, float or numpy number, not a bool, and not NaN; else a ValueError naming it."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past float's range
+            if not math.isnan(real := float(value)):
+                return real
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Construction checks each integer field, stored as an int, and data_prefix; seed_setup checks the rest:
-    the reals, k's parity and order, and eval_k against the retrieval split."""
+    """Construction stores each integer field as an int in its range, each real as a float and eval_k as "all"
+    or an int >= 1, and checks data_prefix; seed_setup checks the rest: the reals' ranges, k's parity and order,
+    and eval_k against the retrieval split."""
     # dataset: file mode (data_prefix) or synthetic generator
     data_prefix: str | None = None
     classes: int = 10
@@ -56,6 +69,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, (lo, hi) in _INT_BOUNDS.items():
             object.__setattr__(self, name, _int_in(name, getattr(self, name), lo, hi))
+        for name in _REAL_KEYS:
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not (isinstance(self.eval_k, str) and self.eval_k == "all"):
+            object.__setattr__(self, "eval_k", _int_in("eval_k", self.eval_k, 1))
         hidden = tuple(_int_in(f"hidden_dims[{i}]", v, 1, 2**32) for i, v in enumerate(self.hidden_dims))
         object.__setattr__(self, "hidden_dims", hidden)
         object.__setattr__(self, "seeds", tuple(_int_in(f"seeds[{i}]", s, 0, 2**64) for i, s in enumerate(self.seeds)))
@@ -71,11 +88,17 @@ class ExperimentConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_REAL_KEYS = tuple(key for key, default in _DEFAULTS.items() if isinstance(default, float))
 
 
 def parse_eval_k(raw: str):
     """eval_k's value, in a config file or `ternhash eval --k`: "all" or an int."""
-    return "all" if raw == "all" else int(raw)
+    if raw == "all":
+        return "all"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f'k must be "all" or an integer, got {raw!r}') from None
 
 
 def _parse_value(key: str, raw: str):

@@ -397,8 +397,8 @@ def quantization_error(net: Network, features, k) -> float:
 def encode_dataset(net: Network, features) -> CodeMatrix:
     """Hash and pack: one code per feature row, each hash block thresholded at +-alpha straight into the planes.
 
-    The bound is hard_ternary's for the net's dtype, so the codes are
-    pack_matrix(hard_ternary(hash_features(net, features), alpha)).
+    The bound is hard_ternary's for the net's dtype, so code i is pack(TernaryCode(t[i])) of the trits
+    t = hard_ternary(hash_features(net, features), alpha).
     """
     d, bound = net.config.code_dim, _threshold(net.dtype, net.config.activation.alpha)
     planes = _inference(net, features, (2, _words(d)), np.uint64, lambda h: _pack_planes(h, bound))

@@ -6,9 +6,11 @@ import pytest
 
 from ternhash import (
     ActivationConfig,
+    CodeMatrix,
     ContinuationSchedule,
+    TernaryCode,
     hard_ternary,
-    pack_matrix,
+    pack,
     schedule_k,
     smooth_ternary,
     smooth_ternary_grad,
@@ -203,7 +205,8 @@ def test_packing_at_the_shared_threshold_is_the_packed_float64_comparison(alpha,
         xs = np.resize(x, (x.size // d + 2, d)).astype(dtype)  # the grid repeated row by row over [rows, d]
         bound = _threshold(xs.dtype, alpha)
         got = _pack_planes(xs, bound)
-        assert got.tobytes() == pack_matrix(reference_hard_ternary(xs, alpha)).planes.tobytes()
+        want = CodeMatrix.of([pack(TernaryCode(t)) for t in reference_hard_ternary(xs, alpha)])
+        assert got.tobytes() == want.planes.tobytes()
 
 
 def test_hard_ternary_integer_and_scalar_input():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternhash import load_codes, pack_matrix, save_codes
+from ternhash import CodeMatrix, TernaryCode, load_codes, pack, save_codes
 from ternhash.harness import ExperimentConfig, run_seed, seed_setup, two_step_baseline
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -88,7 +88,7 @@ def load_oracle():
 def test_oracle_reads_packed_codes_and_tnc_files(tmp_path, d):
     oracle = load_oracle()
     trits = np.random.default_rng(d).integers(-1, 2, size=(7, d)).astype(np.int8)
-    codes = pack_matrix(trits)
+    codes = CodeMatrix.of([pack(TernaryCode(t)) for t in trits])
     assert np.array_equal(oracle.trits_from_packed(codes), trits)
     path = tmp_path / "codes.tnc"
     save_codes(path, codes)

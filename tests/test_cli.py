@@ -139,11 +139,12 @@ def test_eval_k_zero_is_one_line_error_before_training(tmp_path, capsys, monkeyp
     trained = []
     for module in (experiment, cli):
         monkeypatch.setattr(module, "train", lambda *args, **kwargs: trained.append(args))
-    cfg_path = write_tiny_config(tmp_path / "run.cfg", eval_k=0)
+    cfg_path = write_tiny_config(tmp_path / "run.cfg")
+    cfg_path.write_text(cfg_path.read_text().replace("eval_k = all", "eval_k = 0"))
     argv = ["--config", str(cfg_path)] + (["--out", str(tmp_path / "m.tnh")] if command == "train" else [])
     code, out, err = run(capsys, command, *argv)
     assert (code, out) == (1, "")
-    assert err == 'error: k other than "all" must be an integer in [1, 82), got 0\n'  # 3 classes x 27 retrieval rows
+    assert err == "error: eval_k must be an integer in [1, inf), got 0\n"
     assert trained == [] and not (tmp_path / "m.tnh").exists()
 
 
@@ -188,10 +189,13 @@ def test_gen_rejects_a_spread_that_overflows_float32(tmp_path, capsys):
 def test_compare_rejects_a_spread_that_is_not_finite_before_training(tmp_path, capsys, monkeypatch):
     trained = []
     monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: trained.append(args))
-    cfg_path = write_tiny_config(tmp_path / "run.cfg", spread=float("nan"))
-    code, out, err = run(capsys, "compare", "--config", str(cfg_path))
-    assert code == 1 and out == ""
-    assert err == "error: spread must be finite and non-negative, got nan\n"
+    cfg_path = write_tiny_config(tmp_path / "run.cfg", spread=float("inf"))
+    want = (1, "", "error: spread must be finite and non-negative, got inf\n")
+    assert run(capsys, "compare", "--config", str(cfg_path)) == want
+    # NaN, the one float that breaks ==, is refused as the config loads
+    cfg_path.write_text(cfg_path.read_text().replace("spread = inf", "spread = nan"))
+    want = (1, "", "error: spread must be a real number, got nan\n")
+    assert run(capsys, "compare", "--config", str(cfg_path)) == want
     assert trained == []
 
 
@@ -535,14 +539,16 @@ def test_gen_names_the_flag_out_of_range(tmp_path, capsys, flag, value):
 
 def tiny_files(tmp_path):
     """A valid .tnh (2 -> 3 -> 4 -> 2 net), .tfv (3 x 2), .tnc (3 codes, d = 6) and .labels (3 rows)."""
-    from ternhash import ContinuationSchedule, Network, NetworkConfig, pack_matrix, save_checkpoint, save_codes
+    from ternhash import (CodeMatrix, ContinuationSchedule, Network, NetworkConfig, TernaryCode, pack, save_checkpoint,
+                          save_codes)
     from ternhash.harness import save_features, save_labels
 
     paths = {kind: tmp_path / f"x.{kind}" for kind in ("tnh", "tfv", "tnc", "labels")}
     net = Network.initialize(NetworkConfig(input_dim=2, hidden_dims=(3,), code_dim=4, num_classes=2))
     save_checkpoint(paths["tnh"], net, ContinuationSchedule())
     save_features(paths["tfv"], np.array([[0.5, -1.0], [2.0, 0.0], [-0.25, 3.0]], dtype=np.float32))
-    save_codes(paths["tnc"], pack_matrix([[1, 0, -1, 0, 1, 1], [0, 0, 0, 0, 0, 0], [-1, -1, 1, 0, 0, 1]]))
+    trits = [[1, 0, -1, 0, 1, 1], [0, 0, 0, 0, 0, 0], [-1, -1, 1, 0, 0, 1]]
+    save_codes(paths["tnc"], CodeMatrix.of([pack(TernaryCode(t)) for t in trits]))
     save_labels(paths["labels"], [{0}, {1}, {0, 1}])
     return paths
 
@@ -582,3 +588,15 @@ def test_every_eval_k_runs_or_is_one_line_error(tmp_path, capsys):
         for normalization in ("found", "capped"):
             broken.append(contract_break(capsys, "eval", *files, "--k", k, "--normalization", normalization))
     assert broken == [None] * len(broken)
+
+
+def test_eval_k_that_is_not_an_integer_names_the_flag(tmp_path, capsys):
+    paths = {kind: str(path) for kind, path in tiny_files(tmp_path).items()}
+    files = ["--codes", paths["tnc"], "--labels", paths["labels"],
+             "--query-codes", paths["tnc"], "--query-labels", paths["labels"]]
+    for k in ("abc", "1.5"):
+        assert run(capsys, "eval", *files, "--k", k) == (1, "", f"error: k must be \"all\" or an integer, got '{k}'\n")
+    # a config file names its key instead
+    config = tmp_path / "x.cfg"
+    config.write_text("eval_k = abc\n")
+    assert run(capsys, "compare", "--config", str(config)) == (1, "", "error: bad value for eval_k: 'abc'\n")

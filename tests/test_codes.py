@@ -17,7 +17,6 @@ from ternhash import (
     hard_ternary,
     load_codes,
     pack,
-    pack_matrix,
     save_codes,
     ternarize,
 )
@@ -180,12 +179,16 @@ def random_trits(rng, n, d):
     return rng.integers(-1, 2, size=(n, d)).astype(np.int8)
 
 
+def packed(trits) -> CodeMatrix:
+    return CodeMatrix.of([pack(TernaryCode(t)) for t in trits])
+
+
 @pytest.mark.parametrize("n", [1, 2, 9])
 @pytest.mark.parametrize("d", [1, 32, 64, 70, 130])
 def test_load_codes_returns_the_planes_it_returned_before(tmp_path, n, d):
     # the payload read into one writable [n, 2, words] array, with pos and neg views of it for every n
     path = tmp_path / "x.tnc"
-    save_codes(path, pack_matrix(random_trits(np.random.default_rng(n * d), n, d)))
+    save_codes(path, packed(random_trits(np.random.default_rng(n * d), n, d)))
     raw = path.read_bytes()
     got = load_codes(path)
     assert (got.planes.dtype, got.planes.shape) == (np.uint64, (n, 2, (d + 63) // 64))
@@ -201,20 +204,6 @@ def test_load_codes_returns_the_planes_it_returned_before(tmp_path, n, d):
         with pytest.raises(ValueError) as exc:
             load_codes(path)
         assert str(exc.value) == message
-
-
-def test_pack_matrix_matches_row_by_row_pack():
-    rng = np.random.default_rng(10)
-    for d in (1, 16, 63, 64, 65, 70, 130):
-        trits = random_trits(rng, 9, d)
-        m = pack_matrix(trits)
-        assert m.planes.shape == (9, 2, (d + 63) // 64)
-        assert m.pos.shape == m.neg.shape == (9, (d + 63) // 64)
-        assert m == [pack(TernaryCode(t)) for t in trits]
-    with pytest.raises(ValueError):
-        pack_matrix(np.array([[1, 2]]))
-    with pytest.raises(ValueError):
-        pack_matrix(np.array([1, 0, -1]))
 
 
 def test_plane_check_holds_half_the_planes_in_temporaries():
@@ -281,7 +270,7 @@ def test_code_matrix_invariants():
 def valid_tnc(tmp_dir) -> bytes:
     rng = np.random.default_rng(12)
     path = tmp_dir / "valid.tnc"
-    save_codes(path, pack_matrix(random_trits(rng, 3, 70)))
+    save_codes(path, packed(random_trits(rng, 3, 70)))
     return path.read_bytes()
 
 

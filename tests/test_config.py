@@ -218,9 +218,44 @@ def test_config_validation():
     for prefix in ("runs/a#b", " runs/x ", "runs/x\n", "a\rb", "a\u2028b", Path("runs/x")):
         with pytest.raises(ValueError, match="data_prefix must be a str with no '#', line break"):
             ExperimentConfig(data_prefix=prefix)
-    # eval_k is checked against the retrieval split by seed_setup (tests/test_experiment.py), not here
-    for eval_k in (0, "some", True):
-        assert ExperimentConfig(eval_k=eval_k).eval_k == eval_k
+    # eval_k is "all" or an int >= 1 here; seed_setup checks it against the retrieval split (tests/test_experiment.py)
+    for over, message in (({"eval_k": 0}, "eval_k must be an integer in [1, inf), got 0"),
+                          ({"eval_k": "ALL"}, "eval_k must be an integer in [1, inf), got 'ALL'"),
+                          ({"eval_k": True}, "eval_k must be an integer in [1, inf), got True"),
+                          ({"eval_k": 2.0}, "eval_k must be an integer in [1, inf), got 2.0"),
+                          ({"alpha": True}, "alpha must be a real number, got True"),
+                          ({"lr0": "0.1"}, "lr0 must be a real number, got '0.1'"),
+                          ({"spread": float("nan")}, "spread must be a real number, got nan"),
+                          ({"momentum": np.float32("nan")}, "momentum must be a real number, got np.float32(nan)"),
+                          ({"weight_decay": None}, "weight_decay must be a real number, got None"),
+                          ({"train_fraction": np.bool_(True)}, "train_fraction must be a real number, got np.True_")):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**over)
+        assert str(exc.value) == message
+    # a real's range stays with the callee seed_setup passes it to, so an infinite alpha constructs
+    assert repr(ExperimentConfig(alpha=np.float64("inf"), eval_k=np.int64(5))) == repr(
+        ExperimentConfig(alpha=float("inf"), eval_k=5))
+
+
+# every scalar field, drawn from the types a caller may pass: Python and numpy numbers, bools, NaN, inf and text
+SCALAR_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "data_prefix" and not isinstance(f.default, tuple)]
+SCALARS = st.one_of(
+    st.integers(-2**70, 2**70), st.floats(), st.booleans(), st.just(np.bool_(False)),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.text(max_size=4), st.sampled_from(["all", "ALL", "1", "0.5"]),
+)
+
+
+@given(st.dictionaries(st.sampled_from(SCALAR_KEYS), SCALARS, max_size=3))
+def test_every_scalar_key_is_stored_as_its_file_type(values):
+    try:
+        cfg = ExperimentConfig(**values)
+    except ValueError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+    as_python = {key: value.item() if isinstance(value, np.generic) else value for key, value in values.items()}
+    assert repr(cfg) == repr(ExperimentConfig(**as_python))
 
 
 def test_file_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ternhash import LabelSets, RetrievalIndex, mean_ap, pack_matrix
+from ternhash import CodeMatrix, LabelSets, RetrievalIndex, mean_ap
 from ternhash.harness import (
     Dataset,
     ExperimentConfig,
@@ -132,7 +132,7 @@ def test_single_labels():
 
 
 EMPTY_ROW = [{0}, set(), {1}]
-CODES = pack_matrix(np.zeros((3, 4), dtype=np.int8))
+CODES = CodeMatrix(planes=np.zeros((3, 2, 1), dtype=np.uint64), d=4)
 EMPTY_ROW_CALLS = {
     "LabelSets": lambda path: LabelSets(indptr=[0, 1, 1, 2], ids=[0, 1]),
     "LabelSets.of": lambda path: LabelSets.of(EMPTY_ROW),

@@ -18,7 +18,7 @@ from ternhash import (
     hash_features,
     load_checkpoint,
     mean_ap,
-    pack_matrix,
+    pack,
     quantization_error,
     save_checkpoint,
     train,
@@ -166,14 +166,18 @@ def test_run_seed_shapes():
 
 @pytest.mark.parametrize("eval_k", [0, "some", True, np.int64(0), np.bool_(True)])
 def test_seed_setup_rejects_a_bad_eval_k_before_any_epoch(monkeypatch, eval_k):
+    # the config refuses an eval_k that is not "all" or an int >= 1; seed_setup one past the retrieval split
     trained = []
     monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: trained.append(args))
-    cfg = tiny_config(eval_k=eval_k)
+    with pytest.raises(ValueError) as exc:
+        tiny_config(eval_k=eval_k)
+    assert str(exc.value) == f"eval_k must be an integer in [1, inf), got {eval_k!r}"
     n = len(gen_synthetic(3, 30, 8, 0.2, 1).retrieval_ids)
+    cfg = tiny_config(eval_k=n + 1)
     for call in (seed_setup, run_seed):
         with pytest.raises(ValueError) as exc:
             call(cfg, 1)
-        assert str(exc.value) == f'k other than "all" must be an integer in [1, {n + 1}), got {eval_k!r}'
+        assert str(exc.value) == f'k other than "all" must be an integer in [1, {n + 1}), got {n + 1}'
     with pytest.raises(ValueError):
         run_experiment(cfg)
     assert trained == []
@@ -319,7 +323,8 @@ EQUALITY_CASES = {
     "Network": (lambda: Network.initialize(NetworkConfig(input_dim=4, hidden_dims=(3,), code_dim=2, num_classes=2)),
                 False),
     "TrainState": (lambda: TrainState(velocity=[np.zeros(5)]), False),
-    "RetrievalIndex": (lambda: RetrievalIndex(codes=pack_matrix([[1, 0], [0, -1]]), labels=[{0}, {1, 2}]), False),
+    "RetrievalIndex": (lambda: RetrievalIndex(codes=[pack(TernaryCode(t)) for t in ([1, 0], [0, -1])],
+                                              labels=[{0}, {1, 2}]), False),
     "Dataset": (lambda: gen_synthetic(3, 10, 4, 0.2, 1), False),
     "LabelSets": (lambda: LabelSets.of([{0}, {1, 2}]), False),
     "TernaryCode": (lambda: TernaryCode(np.array([1, 0, -1])), False),

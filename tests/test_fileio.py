@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ternhash import ActivationConfig, ContinuationSchedule, Network, NetworkConfig, load_checkpoint, save_checkpoint
-from ternhash.codes import CodeMatrix, load_codes, pack_matrix, save_codes
+from ternhash.codes import CodeMatrix, TernaryCode, load_codes, pack, save_codes
 from ternhash.harness import load_features, save_features
 from ternhash.harness.cli import main
 
@@ -19,8 +19,12 @@ def write_features(path):
     save_features(path, np.arange(30, dtype=np.float32).reshape(5, 6) / 7)
 
 
+def packed(trits) -> CodeMatrix:
+    return CodeMatrix.of([pack(TernaryCode(t)) for t in trits])
+
+
 def write_codes(path):
-    save_codes(path, pack_matrix(np.array([[1, 0, -1] * 24, [0, 1, 1] * 24], dtype=np.int8)))
+    save_codes(path, packed(np.array([[1, 0, -1] * 24, [0, 1, 1] * 24], dtype=np.int8)))
 
 
 def write_checkpoint(path):
@@ -182,10 +186,10 @@ def test_save_features_writes_the_bytes_of_the_astype_composition(tmp_path, name
 
 TRITS = np.random.default_rng(6).integers(-1, 2, (9, 70)).astype(np.int8)
 CODE_INPUTS = {
-    "matrix": lambda: pack_matrix(TRITS),
-    "one code": lambda: pack_matrix(TRITS[4:5]),
-    "strided rows": lambda: pack_matrix(TRITS)[::3],
-    "code list": lambda: list(pack_matrix(TRITS[:, :40])),
+    "matrix": lambda: packed(TRITS),
+    "one code": lambda: packed(TRITS[4:5]),
+    "strided rows": lambda: packed(TRITS)[::3],
+    "code list": lambda: list(packed(TRITS[:, :40])),
 }
 
 

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 import ternhash.network as network
 from ternhash import (
     ActivationConfig,
+    CodeMatrix,
     ContinuationSchedule,
     Network,
     NetworkConfig,
+    TernaryCode,
     TrainConfig,
     TrainState,
     backward,
@@ -25,12 +27,12 @@ from ternhash import (
     hard_ternary,
     hash_features,
     load_checkpoint,
+    pack,
     quantization_error,
     save_checkpoint,
     sgd_momentum_step,
     smooth_ternary,
     smooth_ternary_grad,
-    pack_matrix,
     train,
 )
 from ternhash.harness import encode_dataset
@@ -737,7 +739,8 @@ def test_encode_dataset_is_the_packed_hash_layer_at_every_block_split(dtype):
         net = with_dtype(Network.initialize(cfg), dtype)
         for n in (1, R - 1, R, R + 1, 2 * R + 1, 5 * R + 3):
             got = encode_dataset(net, feats[:n])
-            want = pack_matrix(hard_ternary(hash_features(net, feats[:n]).astype(np.float64), alpha))
+            trits = hard_ternary(hash_features(net, feats[:n]).astype(np.float64), alpha)
+            want = CodeMatrix.of([pack(TernaryCode(t)) for t in trits])
             assert got.planes.tobytes() == want.planes.tobytes(), (alpha, n)
         assert got.pos.any() and got.neg.any()
 

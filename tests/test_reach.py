@@ -30,7 +30,6 @@ BENCHMARK = "benchmarks/"
 # or private helper is reached through an operator or a public name, so it gives (consumer, the text that reaches it).
 UNREACHED = {
     "activation.py:smooth_ternary_grad": ACCEPTANCE,
-    "codes.py:_is_trits": (ACCEPTANCE, "TernaryCode(rng.integers(-1, 2, size=128)"),
     "codes.py:TernaryCode.__post_init__": (ACCEPTANCE, "TernaryCode(rng.integers(-1, 2, size=128)"),
     "codes.py:_Planes.pos": LIBRARY,
     "codes.py:_Planes.neg": LIBRARY,
@@ -40,7 +39,6 @@ UNREACHED = {
     "codes.py:CodeMatrix.__eq__": (ACCEPTANCE, "loaded == codes"),
     "codes.py:ternarize": LIBRARY,
     "codes.py:pack": ACCEPTANCE,
-    "codes.py:pack_matrix": LIBRARY,
     "codes.py:encode_binary": ACCEPTANCE,
     "codes.py:hamming": ACCEPTANCE,
     "network.py:forward": ACCEPTANCE,

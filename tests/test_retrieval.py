@@ -13,7 +13,6 @@ from ternhash import (
     format_report,
     mean_ap,
     pack,
-    pack_matrix,
     query_topk,
     retrieval,
 )
@@ -343,10 +342,10 @@ def test_each_distinct_label_set_and_code_is_ranked_once(d, monkeypatch):
 def test_mean_ap_topk_memory_stays_small():
     n, d = 20_000, 32
     rng = np.random.default_rng(9)
-    index = RetrievalIndex(
-        codes=pack_matrix(rng.integers(-1, 2, size=(n, d))), labels=LabelSets(np.arange(n + 1), rng.integers(0, 10, n))
-    )
-    queries, query_labels = pack_matrix(rng.integers(-1, 2, size=(50, d))), LabelSets(np.arange(51), np.arange(50) % 10)
+    codes = CodeMatrix.of([packed(*t) for t in rng.integers(-1, 2, size=(n, d))])
+    index = RetrievalIndex(codes=codes, labels=LabelSets(np.arange(n + 1), rng.integers(0, 10, n)))
+    queries = CodeMatrix.of([packed(*t) for t in rng.integers(-1, 2, size=(50, d))])
+    query_labels = LabelSets(np.arange(51), np.arange(50) % 10)
     tracemalloc.start()
     try:
         mean_ap(index, queries, query_labels, 100)
